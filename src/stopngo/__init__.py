@@ -4,7 +4,6 @@ connected freeway segments, with ramp metering actuated at the junction."""
 from .errors import (
     AssumptionError,
     ConfigError,
-    ConvergenceError,
     DomainError,
     InfeasibleError,
     RepresentationError,

@@ -28,9 +28,7 @@ class RunConfig:
     net: NetworkParams
     sim: SimConfig
     kernel_resolution: int
-    kernel_tol: float
     out_dir: str
-    seed: int
 
 
 def _quantity(text: str, kind: str, where: str) -> float:
@@ -108,10 +106,7 @@ def default_config() -> RunConfig:
         ic=ICSpec(eps=0.05),
         record_every=64,
     )
-    return RunConfig(
-        net=net, sim=sim, kernel_resolution=256, kernel_tol=1e-10,
-        out_dir="out", seed=0,
-    )
+    return RunConfig(net=net, sim=sim, kernel_resolution=256, out_dir="out")
 
 
 def parse_config(path) -> RunConfig:
@@ -169,9 +164,7 @@ def parse_config(path) -> RunConfig:
         net=net,
         sim=sim,
         kernel_resolution=r.get_int("kernels", "resolution", base.kernel_resolution),
-        kernel_tol=r.get("kernels", "tolerance", "none", base.kernel_tol),
         out_dir=r.get_word("output", "directory", base.out_dir),
-        seed=r.get_int("output", "seed", base.seed),
     )
 
 
@@ -205,19 +198,17 @@ def emit_resolved(cfg: RunConfig, path):
         "",
         "[kernels]",
         "resolution = %d" % cfg.kernel_resolution,
-        "tolerance = %.17g" % cfg.kernel_tol,
         "",
         "[output]",
         "directory = %s" % cfg.out_dir,
-        "seed = %d" % cfg.seed,
         "",
     ]
     with open(path, "w") as f:
         f.write("\n".join(lines))
 
 
-def apply_overrides(cfg: RunConfig, out=None, resolution=None, seed=None,
-                    loop=None, model=None) -> RunConfig:
+def apply_overrides(cfg: RunConfig, out=None, resolution=None, loop=None,
+                    model=None) -> RunConfig:
     sim = cfg.sim
     if loop is not None or model is not None:
         sim = replace(
@@ -230,6 +221,4 @@ def apply_overrides(cfg: RunConfig, out=None, resolution=None, seed=None,
         sim=sim if resolution is None else replace(sim, N=resolution),
         kernel_resolution=cfg.kernel_resolution if resolution is None else resolution,
         out_dir=cfg.out_dir if out is None else out,
-        seed=cfg.seed if seed is None else seed,
-        kernel_tol=cfg.kernel_tol,
     )

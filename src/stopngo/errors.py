@@ -21,10 +21,6 @@ class AssumptionError(StopngoError, ValueError):
     """A standing assumption of the control design is violated."""
 
 
-class ConvergenceError(StopngoError, RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
-
-
 class SimulationError(StopngoError, RuntimeError):
     """A time-domain run broke down (NaN, vacuum, negative speed)."""
 

@@ -3,8 +3,9 @@
 Both kernels of a segment are determined by the single trace of K^vw on the
 far edge (xi = L for segment 1, xi = -L for segment 2): K^vv is constant
 along xi - x = const and anchored there, while K^vw integrates its diagonal
-data along characteristics with K^vv as source. The solver therefore iterates
-only on that edge trace and fills the full tables after convergence.
+data along characteristics with K^vv as source. The edge equation is
+triangular, so the solver computes that trace in one substitution pass and
+then fills the full tables from it.
 """
 from __future__ import annotations
 
@@ -12,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .model import NetworkParams
 from .riemann import boundary_rows, coupling_coefficient
-
-MAX_ITER = 500
 
 
 @dataclass
@@ -27,10 +26,8 @@ class KernelTable:
     x: np.ndarray  # grid nodes of the segment interval
     Kvw: np.ndarray  # (M+1, M+1), zero outside the triangle
     Kvv: np.ndarray
-    iterations: int
+    iterations: int  # passes over the edge trace: 1 when solved, 0 when loaded
     bound: float
-    change_log: np.ndarray
-    tol: float
 
     def valid(self, j: int, k: int) -> bool:
         return k >= j if self.segment_id == 1 else k <= j
@@ -118,43 +115,43 @@ class _Geometry:
             new[jj] = vals[-1] if self.segment_id == 1 else vals[0]
         return new
 
+    def solve_edge(self) -> np.ndarray:
+        """The fixed point of ``edge_update``, by substitution along the edge.
 
-def solve_kernels(
-    segment_id: int,
-    net: NetworkParams,
-    M: int = 128,
-    tol: float = 1e-10,
-    init: str = "zero",
-    seed: int = 0,
-    coupling=None,
-) -> KernelTable:
-    """Fixed-point solve of the kernel pair on one segment's triangle."""
+        At offset d the edge entry reads the trace over the d panels between
+        it and the corner on the diagonal (segment 1: edge[M-d..M]; segment
+        2: edge[0..d]), and itself only through its own half-panel. Solving
+        each entry from the ones nearer the corner, starting there, takes one
+        pass.
+        """
+        M, h, m, dx = self.M, self.h, self.m, self.step
+        sign = -1.0 if self.segment_id == 1 else 1.0
+        coef = sign * self.anchor * (dx / self.ss.lambda_v)
+        edge = np.zeros(M + 1)
+        for d in range(M + 1):
+            i = np.arange(d)
+            if self.segment_id == 1:
+                jj, lo, hi = M - d, M - d, M
+                x_d = jj * h + d * dx
+                c = self.c(M * h - m * (i + 0.5) * dx)
+                own = 0.5 * c[0] if d else 0.0
+            else:
+                jj, lo, hi = d, 0, d
+                x_d = (-self.L + jj * h) - d * dx
+                c = self.c(x_d - m * (i + 0.5) * dx)
+                own = 0.5 * c[-1] if d else 0.0
+            # edge[jj] is still zero here, so this sum leaves out its own term
+            known = c @ (0.5 * (edge[lo:hi] + edge[lo + 1 : hi + 1]))
+            edge[jj] = (self.diag(x_d) + coef * known) / (1.0 - coef * own)
+        return edge
+
+
+def solve_kernels(segment_id: int, net: NetworkParams, M: int = 128, coupling=None) -> KernelTable:
+    """Direct solve of the kernel pair on one segment's triangle."""
     if M < 16:
         raise DomainError(f"M must be at least 16, got {M}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     geo = _Geometry(segment_id, net, M, coupling)
-    if init == "zero":
-        edge = np.zeros(M + 1)
-    elif init == "random":
-        rng = np.random.default_rng(seed)
-        scale = float(np.max(np.abs(geo.diag(geo.x)))) or 1.0
-        edge = rng.uniform(-scale, scale, M + 1)
-    else:
-        raise DomainError(f"unknown init {init!r}")
-    changes = []
-    for iteration in range(1, MAX_ITER + 1):
-        new = geo.edge_update(edge)
-        change = float(np.max(np.abs(new - edge)))
-        changes.append(change)
-        edge = new
-        if change < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"kernel iteration on segment {segment_id} stalled at change "
-            f"{changes[-1]} after {MAX_ITER} sweeps"
-        )
+    edge = geo.solve_edge()
     Kvw = np.zeros((M + 1, M + 1))
     for d in range(M + 1):
         vals = geo.kvw_offset(d, edge)
@@ -186,10 +183,8 @@ def solve_kernels(
         x=geo.x,
         Kvw=Kvw,
         Kvv=Kvv,
-        iterations=iteration,
+        iterations=1,
         bound=bound,
-        change_log=np.array(changes),
-        tol=tol,
     )
 
 
@@ -206,24 +201,18 @@ def kernel_residual(table: KernelTable, net: NetworkParams, coupling=None) -> tu
     M, h = table.M, table.h
     Kvw, Kvv = table.Kvw, table.Kvv
     lam_w, lam_v = geo.ss.lambda_w, geo.ss.lambda_v
-    pde = 0.0
-    for j in range(1, M):
-        if table.segment_id == 1:
-            ks = np.arange(j + 1, M)
-        else:
-            ks = np.arange(1, j)
-        if ks.size == 0:
-            continue
-        xi = geo.x[ks]
-        dKdx_vw = (Kvw[j + 1, ks] - Kvw[j - 1, ks]) / (2 * h)
-        dKdxi_vw = (Kvw[j, ks + 1] - Kvw[j, ks - 1]) / (2 * h)
-        r1 = lam_v * dKdx_vw - lam_w * dKdxi_vw - np.asarray(geo.c(xi)) * Kvv[j, ks]
-        dKdx_vv = (Kvv[j + 1, ks] - Kvv[j - 1, ks]) / (2 * h)
-        dKdxi_vv = (Kvv[j, ks + 1] - Kvv[j, ks - 1]) / (2 * h)
-        r2 = dKdx_vv + dKdxi_vv
-        pde = max(pde, float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
-    diag_vals = np.array([Kvw[j, j] for j in range(M + 1)])
-    bc = float(np.max(np.abs(diag_vals - geo.diag(geo.x))))
+    # interior nodes (j, k) in 1..M-1 strictly inside the triangle
+    j, k = np.meshgrid(np.arange(1, M), np.arange(1, M), indexing="ij")
+    inside = k > j if table.segment_id == 1 else k < j
+    j, k = j[inside], k[inside]
+    dKdx_vw = (Kvw[j + 1, k] - Kvw[j - 1, k]) / (2 * h)
+    dKdxi_vw = (Kvw[j, k + 1] - Kvw[j, k - 1]) / (2 * h)
+    r1 = lam_v * dKdx_vw - lam_w * dKdxi_vw - np.asarray(geo.c(geo.x[k])) * Kvv[j, k]
+    dKdx_vv = (Kvv[j + 1, k] - Kvv[j - 1, k]) / (2 * h)
+    dKdxi_vv = (Kvv[j, k + 1] - Kvv[j, k - 1]) / (2 * h)
+    r2 = dKdx_vv + dKdxi_vv
+    pde = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+    bc = float(np.max(np.abs(np.diagonal(Kvw) - geo.diag(geo.x))))
     if table.segment_id == 1:
         bc = max(bc, float(np.max(np.abs(Kvv[:, M] - geo.anchor * Kvw[:, M]))))
     else:
@@ -308,6 +297,4 @@ def load_table(path: str) -> KernelTable:
         Kvv=Kvv,
         iterations=0,
         bound=bound,
-        change_log=np.array([]),
-        tol=float("nan"),
     )

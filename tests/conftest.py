@@ -33,8 +33,8 @@ def tables(net):
     def get(M):
         if M not in cache:
             cache[M] = (
-                solve_kernels(1, net, M=M, tol=1e-10),
-                solve_kernels(2, net, M=M, tol=1e-10),
+                solve_kernels(1, net, M=M),
+                solve_kernels(2, net, M=M),
             )
         return cache[M]
 

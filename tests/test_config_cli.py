@@ -10,13 +10,26 @@ def test_resolved_round_trip(tmp_path):
     cfg = default_config()
     path = tmp_path / "resolved.cfg"
     emit_resolved(cfg, path)
-    again = parse_config(path)
-    assert again.net == cfg.net
-    assert again.sim == cfg.sim
-    assert again.kernel_resolution == cfg.kernel_resolution
-    assert again.kernel_tol == cfg.kernel_tol
-    assert again.out_dir == cfg.out_dir
-    assert again.seed == cfg.seed
+    assert parse_config(path) == cfg
+
+
+def test_retired_keys_still_parse(tmp_path):
+    # files written before the kernel tolerance and the seed were removed
+    # keep parsing; the keys are ignored
+    path = tmp_path / "old.cfg"
+    path.write_text(
+        "[kernels]\n"
+        "resolution = 64\n"
+        "tolerance = 1e-10\n"
+        "\n"
+        "[output]\n"
+        "directory = elsewhere\n"
+        "seed = 3\n"
+    )
+    cfg = parse_config(path)
+    assert cfg.kernel_resolution == 64
+    assert cfg.out_dir == "elsewhere"
+    assert cfg.net == default_config().net
 
 
 def test_unit_suffixes(tmp_path):
@@ -69,11 +82,10 @@ def test_missing_file():
 
 
 def test_overrides():
-    cfg = apply_overrides(default_config(), out="elsewhere", resolution=64, seed=7)
+    cfg = apply_overrides(default_config(), out="elsewhere", resolution=64)
     assert cfg.out_dir == "elsewhere"
     assert cfg.kernel_resolution == 64
     assert cfg.sim.N == 64
-    assert cfg.seed == 7
     cfg = apply_overrides(default_config(), loop="open", model="linear")
     assert cfg.sim.loop_mode == "open"
     assert cfg.sim.model == "linear"
@@ -101,6 +113,25 @@ def test_cli_steady_equal_segments(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "closed form" in out and "inapplicable" not in out
+    assert "dissipativity verdict: PASS" in out
+
+
+def test_cli_steady_prints_closed_form_for_r1_below_r2(tmp_path, capsys):
+    # the default segments swapped: r1 < r2
+    path = tmp_path / "swapped.cfg"
+    path.write_text(
+        "[network]\n"
+        "rho_max_1 = 0.8 veh/m\n"
+        "rho_max_2 = 0.6667 veh/m\n"
+        "tau_1 = 90 s\n"
+        "tau_2 = 120 s\n"
+    )
+    rc = cli.main(["steady", "--config", str(path), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    sp1_line = next(line for line in out.splitlines() if line.startswith("sp1"))
+    cf_line = next(line for line in out.splitlines() if line.startswith("closed form ="))
+    assert sp1_line.split("= ")[1] == cf_line.split("= ")[1].split()[0]
     assert "dissipativity verdict: PASS" in out
 
 
