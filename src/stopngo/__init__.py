@@ -45,7 +45,7 @@ from .stability import (
     sp1,
 )
 from .kernels import KernelTable, interpolate_kernel_row, kernel_residual, load_table, save_table, solve_kernels
-from .control import TargetState, backstepping_transform, control_input, target_residual
+from .control import FeedbackOperators, TargetState, backstepping_transform, control_input, target_residual
 from .sim import (
     ICSpec,
     SimConfig,
@@ -53,7 +53,6 @@ from .sim import (
     export_norms_csv,
     export_states_csv,
     initial_condition,
-    junction_coupling,
     norms_and_rate,
     run_linear,
     run_nonlinear,

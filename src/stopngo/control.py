@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, RepresentationError
 from .kernels import KernelTable
 from .model import NetworkParams
-from .riemann import SCALED, FieldState, boundary_rows
+from .riemann import SCALED, FieldState, boundary_rows, riemann_arrays, scale_factor
 
 
 @dataclass
@@ -21,20 +22,94 @@ class TargetState:
     beta2: np.ndarray
 
 
-def _check_pair(state: FieldState, table: KernelTable):
-    if state.rep != SCALED:
-        raise RepresentationError(f"expected scaled state, got {state.rep}")
-    if state.grid.size != table.M + 1 or not np.allclose(state.grid, table.x):
-        raise DomainError("state grid does not match the kernel table grid")
-
-
-def _trap(n: int, h: float) -> np.ndarray:
+def trap_weights(n: int, h: float) -> np.ndarray:
+    """Trapezoid weights on n >= 2 nodes of spacing h."""
     w = np.full(n, h)
-    if n > 1:
-        w[0] = w[-1] = 0.5 * h
-    else:
-        w[0] = 0.0
+    w[0] = w[-1] = 0.5 * h
     return w
+
+
+def _volterra_matrix(K: np.ndarray, h: float, upper: bool) -> np.ndarray:
+    """K with row j trapezoid-weighted over its range, columns j..M on
+    segment 1 (upper) and 0..j on segment 2 (lower); scaled in place."""
+    A = np.triu(K) if upper else np.tril(K)
+    A *= h
+    A.flat[:: A.shape[0] + 1] *= 0.5
+    edge = -1 if upper else 0
+    A[:, edge] *= 0.5
+    A[edge, edge] = 0.0  # a one-node range integrates to zero
+    return A
+
+
+class FeedbackOperators:
+    """The feedback law and the Volterra map of one kernel pair, built once.
+
+    Holds the junction kernel rows with their trapezoid weights, g_t and
+    g_control, the factors exp(x/(tau v*)) on the two state grids (checked
+    against the table grids here, once) and, on first use, the four
+    trapezoid-weighted triangular matrices of the transform.
+    """
+
+    def __init__(
+        self,
+        table1: KernelTable,
+        table2: KernelTable,
+        net: NetworkParams,
+        grid1: np.ndarray,
+        grid2: np.ndarray,
+    ):
+        for grid, table in ((grid1, table1), (grid2, table2)):
+            if grid.size != table.M + 1 or not np.allclose(grid, table.x):
+                raise DomainError("state grid does not match the kernel table grid")
+        self.table1, self.table2, self.net = table1, table2, net
+        self.grid1, self.grid2 = grid1, grid2
+        rows = boundary_rows(net)
+        self.g_t, self.g_control = rows.g_t, rows.g_control
+        self.trap1 = trap_weights(table1.M + 1, table1.h)
+        self.trap2 = trap_weights(table2.M + 1, table2.h)
+        self.k1w, self.k1v = table1.Kvw[0], table1.Kvv[0]
+        self.k2w, self.k2v = table2.Kvw[table2.M], table2.Kvv[table2.M]
+        self.factor1 = scale_factor(grid1, net.ss1, net.seg1)
+        self.factor2 = scale_factor(grid2, net.ss2, net.seg2)
+
+    @cached_property
+    def volterra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(A1w, A1v, A2w, A2v) with beta_i = v_i - (A_iw w_i + A_iv v_i)."""
+        t1, t2 = self.table1, self.table2
+        return (_volterra_matrix(t1.Kvw, t1.h, True), _volterra_matrix(t1.Kvv, t1.h, True),
+                _volterra_matrix(t2.Kvw, t2.h, False), _volterra_matrix(t2.Kvv, t2.h, False))
+
+    def u0(self, w1, v1, w2, v2) -> float:
+        """U0 from the rescaled components (w-bar_i, v-tilde_i)."""
+        i1 = self.trap1 @ (self.k1w * w1 + self.k1v * v1)
+        i2 = self.trap2 @ (self.k2w * w2 + self.k2v * v2)
+        return float((i2 - self.g_t * i1) / self.g_control)
+
+    def u0_physical(self, rho1, v1, rho2, v2) -> float:
+        """U0 from the physical state, through the map scale_w applies."""
+        wt1, vt1 = riemann_arrays(rho1, v1, self.net.ss1, self.net.seg1)
+        wt2, vt2 = riemann_arrays(rho2, v2, self.net.ss2, self.net.seg2)
+        return self.u0(self.factor1 * wt1, vt1, self.factor2 * wt2, vt2)
+
+    def target(self, w1, v1, w2, v2) -> TargetState:
+        A1w, A1v, A2w, A2v = self.volterra
+        return TargetState(self.grid1.copy(), self.grid2.copy(),
+                           w1.copy(), v1 - (A1w @ w1 + A1v @ v1),
+                           w2.copy(), v2 - (A2w @ w2 + A2v @ v2))
+
+
+def _operators(scaled1, scaled2, table1, table2, net, ops=None) -> FeedbackOperators:
+    for state in (scaled1, scaled2):
+        if state.rep != SCALED:
+            raise RepresentationError(f"expected scaled state, got {state.rep}")
+    if ops is None:
+        return FeedbackOperators(table1, table2, net, scaled1.grid, scaled2.grid)
+    if ops.table1 is not table1 or ops.table2 is not table2 or ops.net is not net:
+        raise DomainError("operators were built for other tables or another network")
+    for state, grid in ((scaled1, ops.grid1), (scaled2, ops.grid2)):
+        if state.grid.shape != grid.shape or not np.allclose(state.grid, grid):
+            raise DomainError("state grid does not match the kernel table grid")
+    return ops
 
 
 def backstepping_transform(
@@ -43,37 +118,17 @@ def backstepping_transform(
     table1: KernelTable,
     table2: KernelTable,
     net: NetworkParams,
+    ops: FeedbackOperators | None = None,
 ) -> TargetState:
     """Volterra map to the target variables (alpha_i, beta_i).
 
     alpha_i is the rescaled driver-property perturbation unchanged; beta_i
     subtracts the kernel integral of the state over the part of the segment
-    the corresponding characteristic still has to traverse.
+    the corresponding characteristic still has to traverse. Passing the
+    FeedbackOperators of these tables and grids saves rebuilding them.
     """
-    _check_pair(scaled1, table1)
-    _check_pair(scaled2, table2)
-    h1, h2 = table1.h, table2.h
-    M = table1.M
-    w1, v1 = scaled1.a, scaled1.b
-    w2, v2 = scaled2.a, scaled2.b
-    beta1 = v1.copy()
-    for j in range(M + 1):
-        sl = slice(j, M + 1)
-        w = _trap(M + 1 - j, h1)
-        beta1[j] -= w @ (table1.Kvw[j, sl] * w1[sl] + table1.Kvv[j, sl] * v1[sl])
-    beta2 = v2.copy()
-    for j in range(table2.M + 1):
-        sl = slice(0, j + 1)
-        w = _trap(j + 1, h2)
-        beta2[j] -= w @ (table2.Kvw[j, sl] * w2[sl] + table2.Kvv[j, sl] * v2[sl])
-    return TargetState(
-        grid1=scaled1.grid.copy(),
-        grid2=scaled2.grid.copy(),
-        alpha1=w1.copy(),
-        beta1=beta1,
-        alpha2=w2.copy(),
-        beta2=beta2,
-    )
+    ops = _operators(scaled1, scaled2, table1, table2, net, ops)
+    return ops.target(scaled1.a, scaled1.b, scaled2.a, scaled2.b)
 
 
 def control_input(
@@ -89,17 +144,8 @@ def control_input(
     the kernel rows at the junction integrated against the rescaled state of
     segment i; it makes the junction row of the target system hold.
     """
-    _check_pair(scaled1, table1)
-    _check_pair(scaled2, table2)
-    rows = boundary_rows(net)
-    M = table1.M
-    w_tr1 = _trap(M + 1, table1.h)
-    w_tr2 = _trap(table2.M + 1, table2.h)
-    i1 = w_tr1 @ (table1.Kvw[0, :] * scaled1.a + table1.Kvv[0, :] * scaled1.b)
-    i2 = w_tr2 @ (
-        table2.Kvw[table2.M, :] * scaled2.a + table2.Kvv[table2.M, :] * scaled2.b
-    )
-    return float((i2 - rows.g_t * i1) / rows.g_control)
+    ops = _operators(scaled1, scaled2, table1, table2, net)
+    return ops.u0(scaled1.a, scaled1.b, scaled2.a, scaled2.b)
 
 
 def target_residual(record, net: NetworkParams) -> float:

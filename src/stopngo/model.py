@@ -75,6 +75,11 @@ class NetworkParams:
 
 
 def _check_rho(rho, params: SegmentParams):
+    if isinstance(rho, float):  # scalars skip the array round trip
+        rho = float(rho)
+        if rho < 0 or rho > params.rho_max:
+            raise DomainError(f"density outside [0, {params.rho_max}]")
+        return rho
     arr = np.asarray(rho, dtype=float)
     if np.any(arr < 0) or np.any(arr > params.rho_max):
         raise DomainError(f"density outside [0, {params.rho_max}]")

@@ -57,10 +57,20 @@ def to_riemann(phys: FieldState, ss: SteadyState, params: SegmentParams) -> Fiel
     transports at v*.
     """
     _require(phys, PHYSICAL)
-    rho, v = phys.a, phys.b
+    wt, vt = riemann_arrays(phys.a, phys.b, ss, params)
+    return FieldState(phys.grid.copy(), wt, vt, RIEMANN)
+
+
+def riemann_arrays(rho, v, ss: SteadyState, params: SegmentParams):
+    """(w-tilde, v-tilde) of bare arrays; the single source of the map."""
     vt = v - ss.v_star
     wt = (params.gamma * ss.p_star / ss.q_star) * (rho * v - ss.q_star) - vt / ss.r
-    return FieldState(phys.grid.copy(), wt, vt, RIEMANN)
+    return wt, vt
+
+
+def scale_factor(grid, ss: SteadyState, params: SegmentParams) -> np.ndarray:
+    """exp(x/(tau v*)), the factor scale_w applies to w-tilde."""
+    return np.exp(grid / (params.tau * ss.v_star))
 
 
 def from_riemann(riem: FieldState, ss: SteadyState, params: SegmentParams) -> FieldState:
@@ -80,7 +90,7 @@ def from_riemann(riem: FieldState, ss: SteadyState, params: SegmentParams) -> Fi
 def scale_w(riem: FieldState, ss: SteadyState, params: SegmentParams) -> FieldState:
     """w-bar(x) = exp(x/(tau v*)) w-tilde(x); the v component is untouched."""
     _require(riem, RIEMANN)
-    factor = np.exp(riem.grid / (params.tau * ss.v_star))
+    factor = scale_factor(riem.grid, ss, params)
     return FieldState(riem.grid.copy(), factor * riem.a, riem.b.copy(), SCALED)
 
 

@@ -11,16 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import TargetState, backstepping_transform, control_input
-from .errors import DomainError, InfeasibleError, SimulationError
+# control_input stays importable from sim, where callers have looked it up
+from .control import FeedbackOperators, TargetState, backstepping_transform, control_input
+from .control import trap_weights
+from .errors import DomainError, SimulationError
 from .kernels import KernelTable
-from .model import (
-    NetworkParams,
-    congested_flux_root,
-    equilibrium_velocity,
-    inverse_pressure,
-    pressure,
-)
+from .model import NetworkParams, equilibrium_velocity, inverse_pressure, pressure
 from .riemann import (
     PHYSICAL,
     SCALED,
@@ -145,75 +141,45 @@ def _l2(grid, a, b) -> float:
     return float(np.sqrt(np.trapezoid(a * a + b * b, grid)))
 
 
-def _trap_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
+_STATE_KEYS = ("rho1", "v1", "rho2", "v2", "wbar1", "vtil1", "wbar2", "vtil2")
 
 
 class _Recorder:
-    def __init__(self, net, x1, x2, tables):
+    def __init__(self, net, x1, x2, tables, ops):
         self.net = net
         self.x1, self.x2 = x1, x2
-        self.tables = tables
-        self.times, self.u0 = [], []
-        self.phys = {k: [] for k in ("rho1", "v1", "rho2", "v2")}
-        self.scal = {k: [] for k in ("wbar1", "vtil1", "wbar2", "vtil2")}
-        self.norm1, self.norm2, self.linf1, self.linf2 = [], [], [], []
+        self.tables, self.ops = tables, ops
+        keys = _STATE_KEYS + ("times", "u0", "norm1", "norm2", "linf1", "linf2")
+        self.cols = {k: [] for k in keys}
         self.target = [] if tables is not None else None
 
     def push(self, t, u0, phys1, phys2, scaled1, scaled2):
-        net = self.net
-        self.times.append(t)
-        self.u0.append(u0)
-        self.phys["rho1"].append(phys1.a.copy())
-        self.phys["v1"].append(phys1.b.copy())
-        self.phys["rho2"].append(phys2.a.copy())
-        self.phys["v2"].append(phys2.b.copy())
-        self.scal["wbar1"].append(scaled1.a.copy())
-        self.scal["vtil1"].append(scaled1.b.copy())
-        self.scal["wbar2"].append(scaled2.a.copy())
-        self.scal["vtil2"].append(scaled2.b.copy())
-        self.norm1.append(_l2(self.x1, scaled1.a, scaled1.b))
-        self.norm2.append(_l2(self.x2, scaled2.a, scaled2.b))
-        for dev, phys, ss in (
-            (self.linf1, phys1, net.ss1),
-            (self.linf2, phys2, net.ss2),
-        ):
-            dev.append(
-                max(
-                    float(np.max(np.abs(phys.a - ss.rho_star))) / ss.rho_star,
-                    float(np.max(np.abs(phys.b - ss.v_star))) / ss.v_star,
-                )
-            )
+        net, cols = self.net, self.cols
+        for k, arr in zip(_STATE_KEYS, (phys1.a, phys1.b, phys2.a, phys2.b,
+                                        scaled1.a, scaled1.b, scaled2.a, scaled2.b)):
+            cols[k].append(arr.copy())
+        cols["times"].append(t)
+        cols["u0"].append(u0)
+        cols["norm1"].append(_l2(self.x1, scaled1.a, scaled1.b))
+        cols["norm2"].append(_l2(self.x2, scaled2.a, scaled2.b))
+        for k, phys, ss in (("linf1", phys1, net.ss1), ("linf2", phys2, net.ss2)):
+            cols[k].append(max(
+                float(np.max(np.abs(phys.a - ss.rho_star))) / ss.rho_star,
+                float(np.max(np.abs(phys.b - ss.v_star))) / ss.v_star,
+            ))
         if self.target is not None:
             self.target.append(
-                backstepping_transform(
-                    scaled1, scaled2, self.tables[0], self.tables[1], net
-                )
+                backstepping_transform(scaled1, scaled2, *self.tables, net, self.ops)
             )
 
     def finish(self, window, n_steps, **extra) -> SimRecord:
         return SimRecord(
-            times=np.asarray(self.times),
             grid1=self.x1,
             grid2=self.x2,
-            rho1=np.asarray(self.phys["rho1"]),
-            v1=np.asarray(self.phys["v1"]),
-            rho2=np.asarray(self.phys["rho2"]),
-            v2=np.asarray(self.phys["v2"]),
-            wbar1=np.asarray(self.scal["wbar1"]),
-            vtil1=np.asarray(self.scal["vtil1"]),
-            wbar2=np.asarray(self.scal["wbar2"]),
-            vtil2=np.asarray(self.scal["vtil2"]),
-            u0=np.asarray(self.u0),
-            norm1=np.asarray(self.norm1),
-            norm2=np.asarray(self.norm2),
-            linf1=np.asarray(self.linf1),
-            linf2=np.asarray(self.linf2),
             window=window,
             n_steps=n_steps,
             target=self.target,
+            **{k: np.asarray(v) for k, v in self.cols.items()},
             **extra,
         )
 
@@ -228,12 +194,14 @@ def _affine_physical(scaled: FieldState, ss, params) -> FieldState:
     return FieldState(scaled.grid.copy(), flux / v, v, PHYSICAL)
 
 
-def _check_tables(tables, x1, x2):
+def _table_operators(tables, net, x1, x2) -> FeedbackOperators | None:
+    """The feedback operators of the table pair on the simulation grids."""
+    if tables is None:
+        return None
     t1, t2 = tables
     if t1.segment_id != 1 or t2.segment_id != 2:
         raise DomainError("tables must be (segment 1, segment 2)")
-    if t1.M + 1 != x1.size or not np.allclose(t1.x, x1) or not np.allclose(t2.x, x2):
-        raise DomainError("kernel table grid does not match the simulation grid")
+    return FeedbackOperators(t1, t2, net, x1, x2)
 
 
 def run_linear(
@@ -260,8 +228,7 @@ def run_linear(
     h = L / N
     x1 = np.linspace(0.0, L, N + 1)
     x2 = np.linspace(-L, 0.0, N + 1)
-    if tables is not None:
-        _check_tables(tables, x1, x2)
+    ops = _table_operators(tables, net, x1, x2)
 
     phys1, phys2 = initial_condition(cfg.ic, net, N)
     s1 = scale_w(to_riemann(phys1, ss1, seg1), ss1, seg1)
@@ -285,19 +252,17 @@ def run_linear(
     speeds = (ss1.lambda_w, ss1.lambda_v, ss2.lambda_w, ss2.lambda_v)
     dt0 = cfg.cfl * h / max(speeds)
 
-    if tables is not None:
-        tw = _trap_weights(N + 1, h)
-        k1w0 = tables[0].Kvw[0, :] * tw
-        k1v0 = tables[0].Kvv[0, :] * tw
-        k2wN = tables[1].Kvw[N, :] * tw
-        k2vN = tables[1].Kvv[N, :] * tw
+    if ops is not None:
+        A1w, A1v, A2w, A2v = ops.volterra
+        k1w0, k1v0 = A1w[0], A1v[0]
+        k2wN, k2vN = A2w[N], A2v[N]
         # the junction row contains v2[N] inside its own quadrature; solve for it
         denom = 1.0 - k2vN[N]
         trace_t, trace_b1, trace_b2, trace_u = [], [], [], []
     else:
         trace_t = None
 
-    rec = _Recorder(net, x1, x2, tables)
+    rec = _Recorder(net, x1, x2, tables, ops)
 
     def snapshot(t, u0):
         sc1 = FieldState(x1, w1, v1, SCALED)
@@ -364,31 +329,6 @@ def run_linear(
     return rec.finish(ss1.kappa + ss2.kappa, step, **extra)
 
 
-def junction_coupling(left_trace, u0: float, net: NetworkParams):
-    """Junction states seen from segment 1 given the segment-2 trace.
-
-    Solves rho1 v1 = rho2 v2 + U0 together with continuity of the driver
-    property v + p(rho) for the congested-branch root.
-    """
-    rho2, v2 = float(left_trace[0]), float(left_trace[1])
-    if not 0.0 < rho2 < net.seg2.rho_max or v2 <= 0.0:
-        raise DomainError("left trace must be a valid physical state")
-    w = v2 + pressure(rho2, net.seg2)
-    q2 = rho2 * v2
-    demanded = q2 + u0
-    seg1 = net.seg1
-    g = seg1.gamma
-    rho_cr = (w / (seg1.pressure_coeff * (1.0 + g))) ** (1.0 / g)
-    cap = rho_cr * w * g / (1.0 + g)
-    if demanded <= 0.0 or demanded > cap:
-        raise InfeasibleError(
-            f"no congested junction state for U_0 = {u0}; "
-            f"feasible interval is ({-q2}, {cap - q2}]"
-        )
-    rho1 = congested_flux_root(w, demanded, seg1)
-    return rho1, demanded / rho1
-
-
 def boundary_fluxes(rho1, v1, rho2, v2, u0: float, net: NetworkParams, step: int = 0):
     """Boundary algebra of the nonlinear plant, as (flux, w) at the four ends.
 
@@ -452,33 +392,32 @@ def run_nonlinear(
     h = L / N
     x1 = np.linspace(0.0, L, N + 1)
     x2 = np.linspace(-L, 0.0, N + 1)
-    if tables is not None:
-        _check_tables(tables, x1, x2)
-    wc = _trap_weights(N + 1, h)
+    ops = _table_operators(tables, net, x1, x2)
+    wc = trap_weights(N + 1, h)
 
     phys1, phys2 = initial_condition(cfg.ic, net, N)
     rho1, v1 = phys1.a.copy(), phys1.b.copy()
     rho2, v2 = phys2.a.copy(), phys2.b.copy()
-    y1 = rho1 * (v1 + pressure(rho1, seg1))
-    y2 = rho2 * (v2 + pressure(rho2, seg2))
+    # one range-checked pressure per segment and step, on the current density;
+    # it serves the wave speeds, the relaxation and the velocity update
+    p1 = pressure(rho1, seg1)
+    p2 = pressure(rho2, seg2)
+    y1 = rho1 * (v1 + p1)
+    y2 = rho2 * (v2 + p2)
 
-    rec = _Recorder(net, x1, x2, tables)
+    rec = _Recorder(net, x1, x2, tables, ops)
     trace_u = [] if closed else None
     mass = float(wc @ rho1 + wc @ rho2)
     mass_err = 0.0
 
-    def speeds(rho, v, params):
-        return np.maximum(np.abs(v - params.gamma * pressure(rho, params)), np.abs(v))
+    def record(t, u0):
+        ph1 = FieldState(x1, rho1, v1, PHYSICAL)
+        ph2 = FieldState(x2, rho2, v2, PHYSICAL)
+        sc1 = scale_w(to_riemann(ph1, ss1, seg1), ss1, seg1)
+        sc2 = scale_w(to_riemann(ph2, ss2, seg2), ss2, seg2)
+        rec.push(t, u0, ph1, ph2, sc1, sc2)
 
-    def scaled_pair():
-        p1 = FieldState(x1, rho1, v1, PHYSICAL)
-        p2 = FieldState(x2, rho2, v2, PHYSICAL)
-        sc1 = scale_w(to_riemann(p1, ss1, seg1), ss1, seg1)
-        sc2 = scale_w(to_riemann(p2, ss2, seg2), ss2, seg2)
-        return p1, p2, sc1, sc2
-
-    p1, p2, sc1, sc2 = scaled_pair()
-    rec.push(0.0, 0.0, p1, p2, sc1, sc2)
+    record(0.0, 0.0)
 
     t, step, u0 = 0.0, 0, 0.0
     while True:
@@ -488,18 +427,14 @@ def run_nonlinear(
                     f"state left the congested regime in {label} at step {step}, "
                     f"t = {t:.3f} s (min rho = {rho.min():.3e}, min v = {v.min():.3e})"
                 )
-        a1 = speeds(rho1, v1, seg1)
-        a2 = speeds(rho2, v2, seg2)
+        a1 = np.maximum(np.abs(v1 - seg1.gamma * p1), np.abs(v1))
+        a2 = np.maximum(np.abs(v2 - seg2.gamma * p2), np.abs(v2))
         amax = max(float(a1.max()), float(a2.max()))
         if t >= cfg.t_final - 1e-12 * cfg.t_final:
             break
         dt = min(cfg.cfl * (0.5 * h) / amax, cfg.t_final - t)
 
-        if closed:
-            _, _, sc1, sc2 = scaled_pair()
-            u0 = control_input(sc1, sc2, tables[0], tables[1], net)
-        else:
-            u0 = 0.0
+        u0 = ops.u0_physical(rho1, v1, rho2, v2) if closed else 0.0
 
         (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = boundary_fluxes(
             rho1, v1, rho2, v2, u0, net, step
@@ -527,13 +462,16 @@ def run_nonlinear(
             y[1:-1] -= dt * (f_y[1:] - f_y[:-1]) / h
             y[-1] -= dt * (fr_[1] - f_y[-1]) / (0.5 * h)
 
-        # relaxation on the post-flux state; y carries the whole source
-        for rho, y, params in ((rho1, y1, seg1), (rho2, y2, seg2)):
-            v_rel = y / rho - pressure(rho, params)
-            y += dt * (-rho * (v_rel - equilibrium_velocity(rho, params)) / params.tau)
+        # relaxation on the post-flux state; y carries the whole source and
+        # rho is left alone, so p stays valid for v and the next wave speeds
+        p1 = pressure(rho1, seg1)
+        p2 = pressure(rho2, seg2)
+        for rho, y, p, params in ((rho1, y1, p1, seg1), (rho2, y2, p2, seg2)):
+            v_rel = y / rho - p
+            y += dt * (-rho * (v_rel - (params.v_max - p)) / params.tau)
 
-        v1 = y1 / rho1 - pressure(rho1, seg1)
-        v2 = y2 / rho2 - pressure(rho2, seg2)
+        v1 = y1 / rho1 - p1
+        v2 = y2 / rho2 - p2
         t += dt
         step += 1
         if not (np.isfinite(rho1).all() and np.isfinite(y1).all()
@@ -546,8 +484,7 @@ def run_nonlinear(
         if trace_u is not None:
             trace_u.append(u0)
         if step % cfg.record_every == 0 or t >= cfg.t_final - 1e-12 * cfg.t_final:
-            p1, p2, sc1, sc2 = scaled_pair()
-            rec.push(t, u0, p1, p2, sc1, sc2)
+            record(t, u0)
 
     extra = dict(mass_err=mass_err)
     if trace_u is not None:

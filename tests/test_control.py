@@ -4,9 +4,11 @@ import pytest
 import stopngo as sg
 from stopngo.control import backstepping_transform, control_input, target_residual
 from stopngo.errors import DomainError
+from stopngo.errors import AssumptionError, InfeasibleError
 from stopngo.kernels import interpolate_kernel_row, solve_kernels
+from stopngo.model import SegmentParams, admissible_flux_interval, make_network
 from stopngo.riemann import SCALED, FieldState, boundary_rows
-from stopngo.sim import run_linear
+from stopngo.sim import run_linear, run_nonlinear
 
 L = 2000.0
 
@@ -45,12 +47,99 @@ def test_zero_kernels_make_transform_identity(net):
     assert np.array_equal(tar.alpha2, w2)
 
 
+def row_loop_transform(w1, v1, w2, v2, t1, t2):
+    """The transform one row at a time, each row its own trapezoid rule."""
+
+    def trap(n, h):
+        w = np.full(n, h)
+        if n > 1:
+            w[0] = w[-1] = 0.5 * h
+        else:
+            w[0] = 0.0
+        return w
+
+    M = t1.M
+    beta1 = v1.copy()
+    for j in range(M + 1):
+        sl = slice(j, M + 1)
+        beta1[j] -= trap(M + 1 - j, t1.h) @ (t1.Kvw[j, sl] * w1[sl] + t1.Kvv[j, sl] * v1[sl])
+    beta2 = v2.copy()
+    for j in range(M + 1):
+        sl = slice(0, j + 1)
+        beta2[j] -= trap(j + 1, t2.h) @ (t2.Kvw[j, sl] * w2[sl] + t2.Kvv[j, sl] * v2[sl])
+    return beta1, beta2
+
+
+def random_networks(count, seed):
+    """Admissible networks drawn from the ranges of acceptance criterion 2."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        v_max = rng.uniform(25.0, 50.0)
+        length = rng.uniform(800.0, 3000.0)
+        segs = [
+            SegmentParams(
+                v_max=v_max,
+                rho_max=rng.uniform(0.3, 1.2),
+                gamma=rng.uniform(0.8, 2.2),
+                tau=rng.uniform(60.0, 200.0),
+                length=length,
+                segment_id=i + 1,
+            )
+            for i in range(2)
+        ]
+        hi = min(admissible_flux_interval(s)[1] for s in segs)
+        try:
+            out.append(make_network(segs[0], segs[1], rng.uniform(0.25, 0.9) * hi))
+        except (AssumptionError, InfeasibleError):
+            continue
+    return out
+
+
+@pytest.mark.parametrize("M", [64, 128])
+def test_matrix_transform_matches_row_loop(net, M):
+    rng = np.random.default_rng(M)
+    for n in [net] + random_networks(8, seed=M):
+        t1, t2 = solve_kernels(1, n, M=M), solve_kernels(2, n, M=M)
+        w1, v1, w2, v2 = (rng.standard_normal(M + 1) for _ in range(4))
+        tar = backstepping_transform(fs(t1.x, w1, v1), fs(t2.x, w2, v2), t1, t2, n)
+        beta1, beta2 = row_loop_transform(w1, v1, w2, v2, t1, t2)
+        # rounding scales with the size of the integrals being summed: the
+        # state times the inf-norm of the transform, about 4 on the default
+        # network and up to 4e4 on the networks drawn here
+        gain = max(
+            1.0 + t.h * float(np.max(np.sum(np.abs(t.Kvw) + np.abs(t.Kvv), axis=1)))
+            for t in (t1, t2)
+        )
+        scale = gain * max(np.abs(a).max() for a in (w1, v1, w2, v2))
+        assert np.abs(tar.beta1 - beta1).max() <= 1e-14 * scale
+        assert np.abs(tar.beta2 - beta2).max() <= 1e-14 * scale
+
+
 def test_grid_mismatch_rejected(net, tables):
     t1, t2 = tables(64)
     x1, x2 = grids(128)
     z = np.zeros(129)
     with pytest.raises(DomainError):
         backstepping_transform(fs(x1, z, z), fs(x2, z, z), t1, t2, net)
+
+
+def test_operators_must_match_their_tables(net, tables):
+    t1, t2 = tables(64)
+    x1, x2 = grids(64)
+    a, b = np.sin(x1 / 300.0), np.cos(x2 / 500.0)
+    ops = sg.FeedbackOperators(t1, t2, net, x1, x2)
+    plain = backstepping_transform(fs(x1, a, b), fs(x2, b, a), t1, t2, net)
+    reused = backstepping_transform(fs(x1, a, b), fs(x2, b, a), t1, t2, net, ops)
+    assert np.array_equal(plain.beta1, reused.beta1)
+    assert np.array_equal(plain.beta2, reused.beta2)
+    other = sg.FeedbackOperators(*tables(128), net, *grids(128))
+    with pytest.raises(DomainError, match="other tables"):
+        backstepping_transform(fs(x1, a, b), fs(x2, b, a), t1, t2, net, other)
+    y1, y2 = grids(128)
+    z = np.zeros(129)
+    with pytest.raises(DomainError, match="state grid"):
+        backstepping_transform(fs(y1, z, z), fs(y2, z, z), t1, t2, net, ops)
 
 
 def test_manufactured_integral_against_fine_quadrature(net, tables):
@@ -138,6 +227,32 @@ def test_recorded_feedback_matches_recomputed(net, tables, window):
         )
         worst = max(worst, abs(u - rec.u0[i]))
     assert worst < 1e-12
+
+
+def test_nonlinear_u0_is_the_public_law_on_every_record(net, tables, window):
+    # the stepper evaluates U0 on bare arrays; it must be the same number,
+    # bit for bit, as the public law on the recorded state of that step
+    tb = tables(64)
+    cfg = sg.SimConfig(
+        t_final=0.1 * window,
+        N=64,
+        loop_mode="closed",
+        model="nonlinear",
+        ic=sg.ICSpec(eps=0.05, phase1=0.4, phase2=1.3),
+        record_every=1,
+    )
+    rec = run_nonlinear(cfg, net, tb)
+    assert len(rec.trace_u0) == rec.n_steps == len(rec.times) - 1
+    assert np.any(rec.trace_u0 != 0.0)
+    for k, u in enumerate(rec.trace_u0):
+        want = control_input(
+            fs(rec.grid1, rec.wbar1[k], rec.vtil1[k]),
+            fs(rec.grid2, rec.wbar2[k], rec.vtil2[k]),
+            tb[0],
+            tb[1],
+            net,
+        )
+        assert u == want, k
 
 
 def test_target_needs_enough_samples(net, tables):

@@ -53,7 +53,7 @@ def test_equilibrium_flow_values():
 
 def test_domain_errors():
     s = seg()
-    for rho in (-0.1, 0.81):
+    for rho in (-0.1, 0.81, np.float64(0.81), np.array([0.5, 0.81])):
         with pytest.raises(DomainError):
             pressure(rho, s)
         with pytest.raises(DomainError):

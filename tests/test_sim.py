@@ -5,12 +5,11 @@ import pytest
 from scipy.integrate import simpson
 
 import stopngo as sg
-from stopngo.errors import DomainError, InfeasibleError
+from stopngo.errors import DomainError, SimulationError
 from stopngo.model import equilibrium_velocity, pressure
 from stopngo.riemann import PHYSICAL, coupling_coefficient
 from stopngo.sim import (
     initial_condition,
-    junction_coupling,
     norms_and_rate,
     run_linear,
     run_nonlinear,
@@ -169,52 +168,42 @@ def test_closed_loop_linear_contracts(net, tables, window):
     assert hist.rate is not None and hist.rate > 0.0
 
 
-def test_junction_coupling_examples(net):
-    # steady in, steady out
-    rho, v = junction_coupling((net.ss2.rho_star, net.ss2.v_star), 0.0, net)
-    assert rho == pytest.approx(net.ss1.rho_star, rel=1e-12)
-    assert v == pytest.approx(net.ss1.v_star, rel=1e-12)
-    # identical segments pass the trace through
-    eq = sg.make_network(dataclasses.replace(net.seg2, segment_id=1), net.seg2, 6.0)
-    rho, v = junction_coupling((0.63, 9.7), 0.0, eq)
-    assert rho == pytest.approx(0.63, rel=1e-14)
-    assert v == pytest.approx(9.7, rel=1e-14)
-
-
-def test_junction_coupling_with_ramp_inflow(net):
-    u0 = 0.3
-    rho, v = junction_coupling((net.ss2.rho_star, net.ss2.v_star), u0, net)
-    # both junction relations hold at the root
-    flux_resid = rho * v - (net.ss2.q_star + u0)
-    w_resid = (v + pressure(rho, net.seg1)) - (
-        net.ss2.v_star + pressure(net.ss2.rho_star, net.seg2)
-    )
-    assert abs(flux_resid) < 1e-10
-    assert abs(w_resid) < 1e-10
-    # gamma = 1 closed form as an independent oracle
-    c = net.seg1.pressure_coeff
-    w = net.seg1.v_max
-    q = net.ss2.q_star + u0
-    rho_exact = (w + np.sqrt(w * w - 4.0 * c * q)) / (2.0 * c)
-    assert rho == pytest.approx(rho_exact, rel=1e-12)
-    # extra flux moves the congested root toward critical density
-    rho_crit = net.seg1.rho_max * (2.0 / (net.seg1.gamma + 2.0)) ** (1.0 / net.seg1.gamma)
-    assert rho_crit < rho < net.ss1.rho_star
-
-
-def test_junction_coupling_feasibility(net):
-    with pytest.raises(InfeasibleError, match="feasible"):
-        junction_coupling((net.ss2.rho_star, net.ss2.v_star), 5.0, net)
-    with pytest.raises(DomainError):
-        junction_coupling((-0.1, 9.0), 0.0, net)
-
-
 def test_closed_nonlinear_requires_tables(net):
     cfg = sg.SimConfig(
         t_final=5.0, N=64, loop_mode="closed", model="nonlinear",
         ic=sg.ICSpec(eps=0.05), record_every=8,
     )
     with pytest.raises(DomainError):
+        run_nonlinear(cfg, net)
+
+
+def test_inlet_ghost_density_failure(net, window):
+    cfg = sg.SimConfig(
+        t_final=window, N=64, loop_mode="open", model="nonlinear",
+        ic=sg.ICSpec(eps=0.08), record_every=8,
+    )
+    with pytest.raises(
+        SimulationError, match="inlet ghost density reached rho_max at step 19$"
+    ):
+        run_nonlinear(cfg, net)
+
+
+def test_density_pushed_above_rho_max_raises(net, window, monkeypatch):
+    # segment 1 starts just below rho_max with fast traffic running into slow
+    # traffic; the first flux update piles density above rho_max, and the
+    # pressure evaluation on the post-flux state must reject it
+    def pile_up(ic, net, N):
+        p1, p2 = initial_condition(ic, net, N)
+        rho = np.full(p1.grid.size, 0.99 * net.seg1.rho_max)
+        v = np.where(p1.grid < 0.5 * net.seg1.length, 20.0, 1.0)
+        return dataclasses.replace(p1, a=rho, b=v), p2
+
+    monkeypatch.setattr(sg.sim, "initial_condition", pile_up)
+    cfg = sg.SimConfig(
+        t_final=window, N=64, loop_mode="open", model="nonlinear",
+        ic=sg.ICSpec(eps=0.0), record_every=8,
+    )
+    with pytest.raises(DomainError, match="density outside"):
         run_nonlinear(cfg, net)
 
 
