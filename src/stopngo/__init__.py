@@ -17,7 +17,6 @@ from .model import (
     admissible_flux_interval,
     congested_flux_root,
     critical_density,
-    driver_property,
     equilibrium_flow,
     equilibrium_velocity,
     inverse_pressure,
@@ -44,7 +43,7 @@ from .stability import (
     simulate_difference,
     sp1,
 )
-from .kernels import KernelTable, interpolate_kernel_row, kernel_residual, load_table, save_table, solve_kernels
+from .kernels import KernelTable, kernel_residual, save_table, solve_kernels
 from .control import FeedbackOperators, TargetState, backstepping_transform, control_input, target_residual
 from .sim import (
     ICSpec,

@@ -8,6 +8,7 @@ them.
 from __future__ import annotations
 
 import os
+import pathlib
 import tempfile
 import time
 from dataclasses import dataclass, replace
@@ -149,7 +150,7 @@ def criterion_3(ctx):
         # directly solved trace
         ref = ctx.tables(64)[seg_id - 1]
         edge = ref.Kvw[:, -1] if seg_id == 1 else ref.Kvw[:, 0]
-        sweep = _Geometry(seg_id, ctx.net, ref.M, None).edge_update(edge)
+        sweep = _Geometry(seg_id, ctx.net, ref.M).edge_update(edge)
         gap = float(np.max(np.abs(sweep - edge))) / float(np.max(np.abs(ref.Kvw)))
         if not (pdes[0] / pdes[1] >= 1.5 and pdes[1] / pdes[2] >= 1.5 and gap <= 1e-12):
             passed = False
@@ -317,7 +318,7 @@ def criterion_8(ctx):
             outs.append(out)
         same = []
         for fname in ("states.csv", "norms.csv"):
-            blobs = [open(os.path.join(o, fname), "rb").read() for o in outs]
+            blobs = [pathlib.Path(o, fname).read_bytes() for o in outs]
             same.append(blobs[0] == blobs[1])
     passed = all(same)
     return passed, f"states.csv identical = {same[0]}, norms.csv identical = {same[1]}"

@@ -26,17 +26,13 @@ class KernelTable:
     x: np.ndarray  # grid nodes of the segment interval
     Kvw: np.ndarray  # (M+1, M+1), zero outside the triangle
     Kvv: np.ndarray
-    iterations: int  # passes over the edge trace: 1 when solved, 0 when loaded
-    bound: float
-
-    def valid(self, j: int, k: int) -> bool:
-        return k >= j if self.segment_id == 1 else k <= j
+    iterations: int  # passes over the edge trace: 1, the direct solve
 
 
 class _Geometry:
     """Per-segment constants of the characteristic integration."""
 
-    def __init__(self, segment_id: int, net: NetworkParams, M: int, coupling):
+    def __init__(self, segment_id: int, net: NetworkParams, M: int):
         self.segment_id = segment_id
         if segment_id == 1:
             self.params, self.ss = net.seg1, net.ss1
@@ -53,12 +49,7 @@ class _Geometry:
         self.m = self.ss.lambda_w / self.ss.lambda_v
         self.step = self.h / (1.0 + self.m)
         gp = self.params.gamma * self.ss.p_star
-        if coupling is None:
-            coupling = lambda pos: coupling_coefficient(pos, self.ss, self.params)
-        # a constant override (e.g. lambda x: 0.0) must still vectorize
-        self.c = lambda pos: np.broadcast_to(
-            np.asarray(coupling(pos), dtype=float), np.shape(pos)
-        )
+        self.c = lambda pos: coupling_coefficient(pos, self.ss, self.params)
         # diagonal data: K^vw(x, x) = +- c(x) / (gamma p*)
         sign = 1.0 if segment_id == 1 else -1.0
         self.diag = lambda pos: sign * np.asarray(self.c(pos)) / gp
@@ -146,11 +137,11 @@ class _Geometry:
         return edge
 
 
-def solve_kernels(segment_id: int, net: NetworkParams, M: int = 128, coupling=None) -> KernelTable:
+def solve_kernels(segment_id: int, net: NetworkParams, M: int = 128) -> KernelTable:
     """Direct solve of the kernel pair on one segment's triangle."""
     if M < 16:
         raise DomainError(f"M must be at least 16, got {M}")
-    geo = _Geometry(segment_id, net, M, coupling)
+    geo = _Geometry(segment_id, net, M)
     edge = geo.solve_edge()
     Kvw = np.zeros((M + 1, M + 1))
     for d in range(M + 1):
@@ -175,7 +166,6 @@ def solve_kernels(segment_id: int, net: NetworkParams, M: int = 128, coupling=No
         for d in range(M + 1):
             j = np.arange(d, M + 1)
             Kvv[j, j - d] = geo.anchor * edge_col[d]
-    bound = float(max(np.max(np.abs(Kvw)), np.max(np.abs(Kvv))))
     return KernelTable(
         segment_id=segment_id,
         M=M,
@@ -184,11 +174,10 @@ def solve_kernels(segment_id: int, net: NetworkParams, M: int = 128, coupling=No
         Kvw=Kvw,
         Kvv=Kvv,
         iterations=1,
-        bound=bound,
     )
 
 
-def kernel_residual(table: KernelTable, net: NetworkParams, coupling=None) -> tuple[float, float]:
+def kernel_residual(table: KernelTable, net: NetworkParams) -> tuple[float, float]:
     """(pde_residual, bc_residual) of a solved table by central differencing.
 
     The PDE residual covers the two transport equations at interior triangle
@@ -197,7 +186,7 @@ def kernel_residual(table: KernelTable, net: NetworkParams, coupling=None) -> tu
     """
     if table.M < 8:
         raise DomainError("M too small for central differencing")
-    geo = _Geometry(table.segment_id, net, table.M, coupling)
+    geo = _Geometry(table.segment_id, net, table.M)
     M, h = table.M, table.h
     Kvw, Kvv = table.Kvw, table.Kvv
     lam_w, lam_v = geo.ss.lambda_w, geo.ss.lambda_v
@@ -220,38 +209,9 @@ def kernel_residual(table: KernelTable, net: NetworkParams, coupling=None) -> tu
     return pde, bc
 
 
-def interpolate_kernel_row(table: KernelTable, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sampled rows K^vw(x, .), K^vv(x, .) on the table grid, restricted to the triangle.
-
-    Bilinear between the two bracketing node rows; exact when x is a node.
-    """
-    lo, hi = table.x[0], table.x[-1]
-    if x < lo - 1e-9 or x > hi + 1e-9:
-        raise DomainError(f"position {x} outside [{lo}, {hi}]")
-    x = min(max(x, lo), hi)
-    h, M = table.h, table.M
-    pos = (x - lo) / h
-    j0 = min(int(np.floor(pos)), M - 1)
-    t = pos - j0
-    if t == 1.0:
-        j0, t = j0 + 1, 0.0
-    if table.segment_id == 1:
-        if t == 0.0:
-            ks = np.arange(j0, M + 1)
-            return table.x[ks], table.Kvw[j0, ks].copy(), table.Kvv[j0, ks].copy()
-        ks = np.arange(j0 + 1, M + 1)
-    else:
-        if t == 0.0:
-            ks = np.arange(0, j0 + 1)
-            return table.x[ks], table.Kvw[j0, ks].copy(), table.Kvv[j0, ks].copy()
-        ks = np.arange(0, j0 + 1)
-    kvw = (1.0 - t) * table.Kvw[j0, ks] + t * table.Kvw[j0 + 1, ks]
-    kvv = (1.0 - t) * table.Kvv[j0, ks] + t * table.Kvv[j0 + 1, ks]
-    return table.x[ks], kvw, kvv
-
-
 def save_table(table: KernelTable, path: str):
-    """CSV layout: one header line "segment_id,M", then rows x,xi,Kvw,Kvv."""
+    """CSV export for inspection: header lines "segment_id,M", its values and
+    "x,xi,Kvw,Kvv", then one row per node of the triangle."""
     with open(path, "w") as f:
         f.write("segment_id,M\n")
         f.write(f"{table.segment_id},{table.M}\n")
@@ -267,34 +227,3 @@ def save_table(table: KernelTable, path: str):
                     f"{table.x[j]:.17e},{table.x[k]:.17e},"
                     f"{table.Kvw[j, k]:.17e},{table.Kvv[j, k]:.17e}\n"
                 )
-
-
-def load_table(path: str) -> KernelTable:
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "segment_id,M":
-            raise DomainError(f"unrecognized kernel file header {header!r}")
-        segment_id, M = (int(v) for v in f.readline().split(","))
-        f.readline()
-        Kvw = np.zeros((M + 1, M + 1))
-        Kvv = np.zeros((M + 1, M + 1))
-        rows = np.loadtxt(f, delimiter=",", ndmin=2)
-    x_lo = float(rows[:, 0].min())
-    x_hi = float(max(rows[:, 0].max(), rows[:, 1].max()))
-    h = (x_hi - x_lo) / M
-    for xq, xiq, vw, vv in rows:
-        j = int(round((xq - x_lo) / h))
-        k = int(round((xiq - x_lo) / h))
-        Kvw[j, k] = vw
-        Kvv[j, k] = vv
-    bound = float(max(np.max(np.abs(Kvw)), np.max(np.abs(Kvv))))
-    return KernelTable(
-        segment_id=segment_id,
-        M=M,
-        h=h,
-        x=np.linspace(x_lo, x_lo + M * h, M + 1),
-        Kvw=Kvw,
-        Kvv=Kvv,
-        iterations=0,
-        bound=bound,
-    )

@@ -118,11 +118,6 @@ def critical_density(params: SegmentParams) -> float:
     return params.rho_max / (1.0 + params.gamma) ** (1.0 / params.gamma)
 
 
-def driver_property(rho, v, params: SegmentParams):
-    """The transported quantity w = v + p(rho)."""
-    return v + pressure(rho, params)
-
-
 def congested_flux_root(w: float, q: float, params: SegmentParams) -> float:
     """Solve rho * (w - p(rho)) = q for rho on the congested branch.
 

@@ -74,17 +74,22 @@ def scale_factor(grid, ss: SteadyState, params: SegmentParams) -> np.ndarray:
 
 
 def from_riemann(riem: FieldState, ss: SteadyState, params: SegmentParams) -> FieldState:
-    """Exact affine inverse of to_riemann."""
+    """Exact affine inverse of to_riemann, guarded to the physical box."""
     _require(riem, RIEMANN)
-    wt, vt = riem.a, riem.b
-    v = ss.v_star + vt
-    if np.any(v <= 0):
+    # checked before physical_arrays divides by the velocity
+    if np.any(ss.v_star + riem.b <= 0):
         raise DomainError("recovered velocity is not positive")
-    flux = ss.q_star + (ss.q_star / (params.gamma * ss.p_star)) * (wt + vt / ss.r)
-    rho = flux / v
+    rho, v = physical_arrays(riem.a, riem.b, ss, params)
     if np.any(rho <= 0) or np.any(rho >= params.rho_max):
         raise DomainError("recovered density left the open interval (0, rho_max)")
     return FieldState(riem.grid.copy(), rho, v, PHYSICAL)
+
+
+def physical_arrays(wt, vt, ss: SteadyState, params: SegmentParams):
+    """(rho, v) of bare arrays, the inverse of riemann_arrays; no range guard."""
+    v = ss.v_star + vt
+    flux = ss.q_star + (ss.q_star / (params.gamma * ss.p_star)) * (wt + vt / ss.r)
+    return flux / v, v
 
 
 def scale_w(riem: FieldState, ss: SteadyState, params: SegmentParams) -> FieldState:

@@ -23,6 +23,7 @@ from .riemann import (
     FieldState,
     boundary_rows,
     coupling_coefficient,
+    physical_arrays,
     scale_w,
     to_riemann,
     unscale_w,
@@ -95,9 +96,7 @@ class SimRecord:
     n_steps: int
     target: list[TargetState] | None = None
     trace_times: np.ndarray | None = None
-    trace_beta1: np.ndarray | None = None
     trace_beta2: np.ndarray | None = None
-    trace_u0: np.ndarray | None = None
     mass_err: float | None = None
 
     def __post_init__(self):
@@ -189,9 +188,8 @@ def _affine_physical(scaled: FieldState, ss, params) -> FieldState:
     # free to leave the box (0, rho_max) x (0, v_max) transiently, so this
     # applies the affine inverse without the range guard of from_riemann.
     til = unscale_w(scaled, ss, params)
-    v = ss.v_star + til.b
-    flux = ss.q_star + ss.q_star / (params.gamma * ss.p_star) * (til.a + til.b / ss.r)
-    return FieldState(scaled.grid.copy(), flux / v, v, PHYSICAL)
+    rho, v = physical_arrays(til.a, til.b, ss, params)
+    return FieldState(scaled.grid.copy(), rho, v, PHYSICAL)
 
 
 def _table_operators(tables, net, x1, x2) -> FeedbackOperators | None:
@@ -208,8 +206,6 @@ def run_linear(
     cfg: SimConfig,
     net: NetworkParams,
     tables: tuple[KernelTable, KernelTable] | None = None,
-    coupling1=None,
-    coupling2=None,
 ) -> SimRecord:
     """Upwind integration of the rescaled linear dynamics.
 
@@ -236,18 +232,8 @@ def run_linear(
     w1, v1 = s1.a.copy(), s1.b.copy()
     w2, v2 = s2.a.copy(), s2.b.copy()
 
-    c1 = np.broadcast_to(
-        np.asarray(
-            coupling1(x1) if coupling1 else coupling_coefficient(x1, ss1, seg1), float
-        ),
-        x1.shape,
-    )
-    c2 = np.broadcast_to(
-        np.asarray(
-            coupling2(x2) if coupling2 else coupling_coefficient(x2, ss2, seg2), float
-        ),
-        x2.shape,
-    )
+    c1 = coupling_coefficient(x1, ss1, seg1)
+    c2 = coupling_coefficient(x2, ss2, seg2)
     rows = boundary_rows(net)
     speeds = (ss1.lambda_w, ss1.lambda_v, ss2.lambda_w, ss2.lambda_v)
     dt0 = cfg.cfl * h / max(speeds)
@@ -258,7 +244,7 @@ def run_linear(
         k2wN, k2vN = A2w[N], A2v[N]
         # the junction row contains v2[N] inside its own quadrature; solve for it
         denom = 1.0 - k2vN[N]
-        trace_t, trace_b1, trace_b2, trace_u = [], [], [], []
+        trace_t, trace_b2 = [], []
     else:
         trace_t = None
 
@@ -309,23 +295,15 @@ def run_linear(
             raise SimulationError(f"non-finite state at step {step}, t = {t:.3f} s")
         if trace_t is not None:
             if not closed:
-                i1 = float(k1w0 @ w1 + k1v0 @ v1)
                 i2 = float(k2wN @ w2 + k2vN @ v2)
             trace_t.append(t)
-            trace_b1.append(v1[0] - i1)
             trace_b2.append(v2[-1] - i2)
-            trace_u.append(u0)
         if step % cfg.record_every == 0 or t >= cfg.t_final - 1e-9 * dt0:
             snapshot(t, u0)
 
     extra = {}
     if trace_t is not None:
-        extra = dict(
-            trace_times=np.asarray(trace_t),
-            trace_beta1=np.asarray(trace_b1),
-            trace_beta2=np.asarray(trace_b2),
-            trace_u0=np.asarray(trace_u),
-        )
+        extra = dict(trace_times=np.asarray(trace_t), trace_beta2=np.asarray(trace_b2))
     return rec.finish(ss1.kappa + ss2.kappa, step, **extra)
 
 
@@ -406,7 +384,6 @@ def run_nonlinear(
     y2 = rho2 * (v2 + p2)
 
     rec = _Recorder(net, x1, x2, tables, ops)
-    trace_u = [] if closed else None
     mass = float(wc @ rho1 + wc @ rho2)
     mass_err = 0.0
 
@@ -481,15 +458,10 @@ def run_nonlinear(
         new_mass = float(wc @ rho1 + wc @ rho2)
         mass_err = max(mass_err, abs((new_mass - mass) - dt * u0) / new_mass)
         mass = new_mass
-        if trace_u is not None:
-            trace_u.append(u0)
         if step % cfg.record_every == 0 or t >= cfg.t_final - 1e-12 * cfg.t_final:
             record(t, u0)
 
-    extra = dict(mass_err=mass_err)
-    if trace_u is not None:
-        extra["trace_u0"] = np.asarray(trace_u)
-    return rec.finish(ss1.kappa + ss2.kappa, step, **extra)
+    return rec.finish(ss1.kappa + ss2.kappa, step, mass_err=mass_err)
 
 
 def norms_and_rate(record) -> NormHistory:

@@ -133,50 +133,31 @@ class DifferenceSeries:
     times: np.ndarray
     values: np.ndarray
     rate: float | None
-    diverged: bool
-    delay_rounding_error: float
 
 
-def simulate_difference(
-    model: DifferenceModel, history, horizon: float, dt: float | None = None
-) -> DifferenceSeries:
-    """Iterate the delay recurrence from a given history on [-kappa1-kappa2, 0].
+def simulate_difference(model: DifferenceModel, history: float, horizon: float) -> DifferenceSeries:
+    """Iterate the delay recurrence from a constant history on [-kappa1-kappa2, 0].
 
-    history may be a scalar, an array sampled on that interval, or a callable
-    of time. Delays are rounded to the nearest grid multiple; the rounding
-    error is reported with the series. The rate is fitted from t = kappa1 +
-    kappa2 on: earlier samples read the prescribed history directly, which
-    need not lie on the envelope of any solution of the recurrence.
+    The step is kappa2/256 and both delays are rounded to the nearest step.
+    The rate is fitted from t = kappa1 + kappa2 on: earlier samples read the
+    prescribed history directly, which need not lie on the envelope of any
+    solution of the recurrence.
     """
     if horizon <= 0:
         raise DomainError("horizon must be positive")
-    if dt is None:
-        dt = model.kappa2 / 256.0
-    if dt > model.kappa2 / 200.0:
-        raise DomainError("dt must not exceed kappa2/200")
+    dt = model.kappa2 / 256.0
     n2 = max(1, round(model.kappa2 / dt))
     n12 = max(n2 + 1, round((model.kappa1 + model.kappa2) / dt))
-    rounding = max(abs(n2 * dt - model.kappa2), abs(n12 * dt - (model.kappa1 + model.kappa2)))
     n_hist = n12 + 1
-    t_hist = np.arange(-n12, 1) * dt
-    if callable(history):
-        h = np.array([float(history(t)) for t in t_hist])
-    else:
-        h = np.asarray(history, dtype=float)
-        if h.ndim == 0:
-            h = np.full(n_hist, float(h))
-        else:
-            h = np.interp(t_hist, np.linspace(-(model.kappa1 + model.kappa2), 0.0, h.size), h)
     n_steps = int(np.ceil(horizon / dt))
     x = np.empty(n_hist + n_steps)
-    x[:n_hist] = h
+    x[:n_hist] = float(history)
     for k in range(n_hist, n_hist + n_steps):
         x[k] = model.coef_short * x[k - n2] + model.coef_long * x[k - n12]
     times = (np.arange(n_hist + n_steps) - n12) * dt
     window = model.kappa1 + model.kappa2
     rate = fit_envelope_rate(times[n_hist + n12 :], x[n_hist + n12 :], window)
-    diverged = bool(np.max(np.abs(x[n_hist:])) > 10.0 * (np.max(np.abs(h)) + 1e-300))
-    return DifferenceSeries(times, x, rate, diverged, rounding)
+    return DifferenceSeries(times, x, rate)
 
 
 def fit_envelope_rate(times: np.ndarray, values: np.ndarray, window: float) -> float | None:

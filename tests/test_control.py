@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import stopngo as sg
 from stopngo.control import backstepping_transform, control_input, target_residual
 from stopngo.errors import DomainError
 from stopngo.errors import AssumptionError, InfeasibleError
-from stopngo.kernels import interpolate_kernel_row, solve_kernels
+from stopngo.kernels import solve_kernels
 from stopngo.model import SegmentParams, admissible_flux_interval, make_network
 from stopngo.riemann import SCALED, FieldState, boundary_rows
 from stopngo.sim import run_linear, run_nonlinear
@@ -33,10 +35,11 @@ def test_zero_state_maps_to_zero(net, tables):
     assert control_input(fs(x1, z, z), fs(x2, z, z), t1, t2, net) == 0.0
 
 
-def test_zero_kernels_make_transform_identity(net):
-    zero = lambda x: np.zeros_like(np.asarray(x, float))
-    t1 = solve_kernels(1, net, M=64, coupling=zero)
-    t2 = solve_kernels(2, net, M=64, coupling=zero)
+def test_zero_kernels_make_transform_identity(net, tables):
+    t1, t2 = (
+        dataclasses.replace(t, Kvw=np.zeros_like(t.Kvw), Kvv=np.zeros_like(t.Kvv))
+        for t in tables(64)
+    )
     x1, x2 = grids(64)
     w1, v1 = np.sin(x1 / 300.0), np.cos(x1 / 500.0)
     w2, v2 = np.cos(x2 / 400.0), np.sin(x2 / 700.0)
@@ -150,7 +153,7 @@ def test_manufactured_integral_against_fine_quadrature(net, tables):
     one, z = np.ones(65), np.zeros(65)
     tar = backstepping_transform(fs(x1, one, z), fs(x2, z, z), t1, t2, net)
     for j in range(65):
-        xs, kvw, _ = interpolate_kernel_row(t1, x1[j])
+        xs, kvw = t1.x[j:], t1.Kvw[j, j:]
         if xs.size < 2:
             want = 0.0
         else:
@@ -164,7 +167,7 @@ def test_control_input_manufactured(net, rows, tables):
     x1, x2 = grids(64)
     one, z = np.ones(65), np.zeros(65)
     u = control_input(fs(x1, z, z), fs(x2, one, z), t1, t2, net)
-    xs, kvw, _ = interpolate_kernel_row(t2, 0.0)
+    xs, kvw = t2.x, t2.Kvw[t2.M, :]
     f = np.linspace(xs[0], xs[-1], 8001)
     want = np.trapezoid(np.interp(f, xs, kvw), f) / rows.g_control
     assert u == pytest.approx(want, abs=1e-6)
@@ -242,9 +245,10 @@ def test_nonlinear_u0_is_the_public_law_on_every_record(net, tables, window):
         record_every=1,
     )
     rec = run_nonlinear(cfg, net, tb)
-    assert len(rec.trace_u0) == rec.n_steps == len(rec.times) - 1
-    assert np.any(rec.trace_u0 != 0.0)
-    for k, u in enumerate(rec.trace_u0):
+    # rec.u0[k + 1] is the input applied over step k, on record k's state
+    assert len(rec.times) - 1 == rec.n_steps
+    assert np.any(rec.u0[1:] != 0.0)
+    for k, u in enumerate(rec.u0[1:]):
         want = control_input(
             fs(rec.grid1, rec.wbar1[k], rec.vtil1[k]),
             fs(rec.grid2, rec.wbar2[k], rec.vtil2[k]),

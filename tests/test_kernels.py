@@ -3,24 +3,20 @@ import pytest
 
 import stopngo as sg
 from stopngo.errors import DomainError
-from stopngo.kernels import (
-    _Geometry,
-    interpolate_kernel_row,
-    kernel_residual,
-    load_table,
-    save_table,
-    solve_kernels,
-)
+from stopngo.kernels import _Geometry, kernel_residual, save_table, solve_kernels
 from stopngo.riemann import coupling_coefficient
 
 
-def test_zero_coupling_gives_zero_tables(net):
-    zero = lambda x: np.zeros_like(np.asarray(x, float))
+def test_zero_coupling_gives_zero_tables(net, monkeypatch):
+    monkeypatch.setattr(
+        "stopngo.kernels.coupling_coefficient",
+        lambda x, ss, params: np.zeros_like(np.asarray(x, float)),
+    )
     for sid in (1, 2):
-        tb = solve_kernels(sid, net, M=32, coupling=zero)
+        tb = solve_kernels(sid, net, M=32)
         assert np.all(tb.Kvw == 0.0)
         assert np.all(tb.Kvv == 0.0)
-        pde, bc = kernel_residual(tb, net, coupling=zero)
+        pde, bc = kernel_residual(tb, net)
         assert pde == 0.0
         assert bc == 0.0
 
@@ -110,7 +106,7 @@ def test_direct_solve_matches_fixed_point_sweeps(net, tables, M):
     # starts to 1e-13 of the kernel scale, land on the directly solved tables
     rng = np.random.default_rng(M)
     for tb in tables(M):
-        geo = _Geometry(tb.segment_id, net, M, None)
+        geo = _Geometry(tb.segment_id, net, M)
         scale = np.abs(tb.Kvw).max()
         starts = [np.zeros(M + 1)] + [rng.uniform(-scale, scale, M + 1) for _ in range(2)]
         for start in starts:
@@ -121,7 +117,7 @@ def test_direct_solve_matches_fixed_point_sweeps(net, tables, M):
 
 def _kernel_residual_by_rows(table, net):
     """The per-row loop that kernel_residual vectorizes, kept as its reference."""
-    geo = _Geometry(table.segment_id, net, table.M, None)
+    geo = _Geometry(table.segment_id, net, table.M)
     M, h, Kvw, Kvv = table.M, table.h, table.Kvw, table.Kvv
     lam_w, lam_v = geo.ss.lambda_w, geo.ss.lambda_v
     pde = 0.0
@@ -149,36 +145,20 @@ def test_residual_matches_row_loop(net, tables):
             assert kernel_residual(tb, net) == _kernel_residual_by_rows(tb, net)
 
 
-def test_interpolate_rows(net, tables):
-    t1, t2 = tables(64)
-    # exact at a node
-    xs, kvw, kvv = interpolate_kernel_row(t1, t1.x[10])
-    assert np.array_equal(kvw, t1.Kvw[10, 10:])
-    assert np.array_equal(kvv, t1.Kvv[10, 10:])
-    assert xs[0] == t1.x[10]
-    # exact at the far nodes of both triangles
-    xs, kvw, _ = interpolate_kernel_row(t2, 0.0)
-    assert xs.size == t2.M + 1
-    assert kvw[-1] == t2.Kvw[t2.M, t2.M]
-    xs, kvw, _ = interpolate_kernel_row(t1, net.seg1.length)
-    assert xs.size == 1
-    # midpoint is the average of the bracketing rows on the shared nodes
-    xm = t1.x[10] + 0.5 * t1.h
-    xs, kvw, kvv = interpolate_kernel_row(t1, xm)
-    assert np.abs(kvw - 0.5 * (t1.Kvw[10, 11:] + t1.Kvw[11, 11:])).max() < 1e-18
-    with pytest.raises(DomainError):
-        interpolate_kernel_row(t1, -5.0)
-    with pytest.raises(DomainError):
-        interpolate_kernel_row(t2, 5.0)
-
-
-def test_save_load_round_trip(net, tables, tmp_path):
+def test_save_table_writes_the_triangle(net, tables, tmp_path):
     for tb in tables(64):
         path = tmp_path / f"k{tb.segment_id}.csv"
         save_table(tb, path)
-        back = load_table(path)
-        assert back.segment_id == tb.segment_id
-        assert back.M == tb.M
-        assert np.array_equal(back.x, tb.x)
-        assert np.array_equal(back.Kvw, tb.Kvw)
-        assert np.array_equal(back.Kvv, tb.Kvv)
+        lines = path.read_text().splitlines()
+        assert lines[:3] == ["segment_id,M", f"{tb.segment_id},{tb.M}", "x,xi,Kvw,Kvv"]
+        rows = np.loadtxt(path, delimiter=",", skiprows=3)
+        assert rows.shape == ((tb.M + 1) * (tb.M + 2) // 2, 4)
+        j = np.rint((rows[:, 0] - tb.x[0]) / tb.h).astype(int)
+        k = np.rint((rows[:, 1] - tb.x[0]) / tb.h).astype(int)
+        assert np.array_equal(rows[:, 0], tb.x[j])
+        assert np.array_equal(rows[:, 1], tb.x[k])
+        assert np.all(k >= j) if tb.segment_id == 1 else np.all(k <= j)
+        assert len(set(zip(j, k))) == rows.shape[0]
+        # %.17e round-trips a double exactly
+        assert np.array_equal(rows[:, 2], tb.Kvw[j, k])
+        assert np.array_equal(rows[:, 3], tb.Kvv[j, k])

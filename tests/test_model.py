@@ -8,7 +8,6 @@ from stopngo.errors import AssumptionError, DomainError, InfeasibleError
 from stopngo.model import (
     congested_flux_root,
     critical_density,
-    driver_property,
     equilibrium_flow,
     equilibrium_velocity,
     pressure,
@@ -87,15 +86,6 @@ def test_flow_unimodal_at_critical_density():
         assert np.all(np.diff(q[below]) > 0)
         assert np.all(np.diff(q[above]) < 0)
         assert equilibrium_flow(rc, s) >= q.max() - 1e-12
-
-
-def test_driver_property():
-    s = seg()
-    rho = np.linspace(0.0, 0.8, 50)
-    w = driver_property(rho, equilibrium_velocity(rho, s), s)
-    assert np.abs(w - 45.0).max() < 1e-12
-    assert driver_property(0.0, 10.0, s) == 10.0
-    assert driver_property(0.5, 10.0, s) == pytest.approx(38.125, rel=1e-14)
 
 
 def test_congested_flux_root_round_trip():

@@ -15,8 +15,6 @@ from stopngo.sim import (
     run_nonlinear,
 )
 
-ZERO = lambda x: np.zeros_like(np.asarray(x, float))
-
 
 def test_config_validation():
     with pytest.raises(DomainError):
@@ -141,12 +139,15 @@ def test_linear_cfl_and_time_grid(net, window):
     assert t[-1] == cfg.t_final
 
 
-def test_open_loop_dissipative_without_coupling(net, window):
+def test_open_loop_dissipative_without_coupling(net, window, monkeypatch):
+    monkeypatch.setattr(
+        "stopngo.sim.coupling_coefficient", lambda x, ss, params: np.zeros_like(x)
+    )
     cfg = sg.SimConfig(
         t_final=3.0 * window, N=64, loop_mode="open", model="linear",
         ic=sg.ICSpec(eps=0.1), record_every=4,
     )
-    rec = run_linear(cfg, net, None, coupling1=ZERO, coupling2=ZERO)
+    rec = run_linear(cfg, net)
     t = np.asarray(rec.times)
     tot = np.sqrt(np.asarray(rec.norm1) ** 2 + np.asarray(rec.norm2) ** 2)
     probe = np.linspace(0.0, 2.0 * window, 200)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 
 import stopngo as sg
-from stopngo.errors import AssumptionError, DomainError
+from stopngo.errors import AssumptionError
 from stopngo.stability import (
     build_difference_model,
     closed_form_condition,
@@ -205,19 +205,6 @@ def test_difference_series_decays_at_characteristic_rate(net, window):
     assert series.rate == pytest.approx(sigma, rel=0.02)
     tail = np.abs(series.values[series.times > 10.0 * window]).max()
     assert tail < 0.1
-
-
-def test_difference_model_accepts_array_and_callable_history(net, window):
-    dm = build_difference_model(net)
-    a = simulate_difference(dm, 1.0, horizon=3.0 * window)
-    b = simulate_difference(dm, lambda t: 1.0, horizon=3.0 * window)
-    assert np.array_equal(a.values, b.values)
-
-
-def test_difference_model_coarse_grid_rejected(net, window):
-    dm = build_difference_model(net)
-    with pytest.raises(DomainError):
-        simulate_difference(dm, 1.0, horizon=3.0 * window, dt=dm.kappa2 / 100.0)
 
 
 def test_envelope_fit_synthetic():
