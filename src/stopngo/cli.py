@@ -86,7 +86,8 @@ def cmd_kernels(cfg: RunConfig) -> int:
             pde, bc = kernel_residual(table, net)
             lines.append(
                 "segment %d, M = %d: direct edge solve, pde residual = %.3e, "
-                "bc residual = %.3e" % (seg_id, table.M, pde, bc)
+                "bc residual = %.3e, max|Kvw| = %.3e, max|Kvv| = %.3e"
+                % (seg_id, table.M, pde, bc, np.abs(table.Kvw).max(), np.abs(table.Kvv).max())
             )
         lines.append(f"segment {seg_id}: table written to {path}")
     _emit(lines, cfg.out_dir, "kernel_report.txt")

@@ -64,47 +64,50 @@ class _Geometry:
             self.anchor = ratio / rows.g_outlet
         else:
             self.anchor = ratio * rows.g_inlet
+        # weight of the K^vv source in one panel of the characteristic
+        self.coef = -sign * self.anchor * self.step / self.ss.lambda_v
+        # c is an exponential, so c(p - m (i+1/2) dx) = c(p) g_i along every
+        # characteristic
+        i = np.arange(M) + 0.5
+        self.g = np.exp(self.m * i * self.step / (self.params.tau * self.ss.v_star))
 
-    def kvw_offset(self, d: int, edge: np.ndarray) -> np.ndarray:
-        """K^vw at every node pair with |xi - x| = d*h, as a vector along x.
+    def _nodes(self, j, d):
+        """Diagonal foot x_d and factor position p of the nodes at row j and
+        offset d: p is the node's xi on segment 1 and its foot on segment 2."""
+        if self.segment_id == 1:
+            return j * self.h + d * self.step, (j + d) * self.h
+        foot = (-self.L + j * self.h) - d * self.step
+        return foot, foot
 
-        Midpoint rule along the characteristic between the diagonal foot and
-        the node; the K^vv source is the anchored edge trace interpolated
+    def kvw_table(self, edge: np.ndarray) -> np.ndarray:
+        """All of K^vw from the far-edge trace, zero outside the triangle.
+
+        Midpoint rule along the characteristic between the diagonal foot x_d
+        and the node; the K^vv source is the anchored edge trace interpolated
         linearly at the panel midpoints, which land at the same edge
-        positions for every node of a fixed offset.
+        positions for every node of an offset d. With c(p - m (i+1/2) dx) =
+        c(p) g_i, the node's value is diag(x_d) + coef c(p) S(d), where S(d)
+        is the g-weighted sum of the d midpoint values: a correlation with
+        the reversed trace on segment 1, a running sum on segment 2.
         """
-        M, h, m, dx = self.M, self.h, self.m, self.step
+        M = self.M
+        mid = 0.5 * (edge[:-1] + edge[1:])
         if self.segment_id == 1:
-            j = np.arange(M + 1 - d)
-            x_d = j * h + d * dx
+            S = np.convolve(self.g, mid[::-1])[:M]
+            j, k = np.triu_indices(M + 1)
         else:
-            j = np.arange(d, M + 1)
-            x_d = (-self.L + j * h) - d * dx
-        out = np.asarray(self.diag(x_d), dtype=float).copy()
-        if d == 0:
-            return out
-        i = np.arange(d)
-        if self.segment_id == 1:
-            edge_mid = 0.5 * (edge[M - d + i] + edge[M - d + i + 1])
-            xi_mid = ((j + d) * h)[:, None] - m * (i[None, :] + 0.5) * dx
-            src = np.asarray(self.c(xi_mid)) * edge_mid[None, :]
-            out -= self.anchor * (dx / self.ss.lambda_v) * src.sum(axis=1)
-        else:
-            edge_mid = 0.5 * (edge[i] + edge[i + 1])
-            xi_mid = x_d[:, None] - m * (i[None, :] + 0.5) * dx
-            src = np.asarray(self.c(xi_mid)) * edge_mid[None, :]
-            out += self.anchor * (dx / self.ss.lambda_v) * src.sum(axis=1)
-        return out
+            S = np.cumsum(self.g * mid)
+            j, k = np.tril_indices(M + 1)
+        d = np.abs(k - j)
+        foot, pos = self._nodes(j, d)
+        S = np.concatenate(([0.0], S))
+        Kvw = np.zeros((M + 1, M + 1))
+        Kvw[j, k] = self.diag(foot) + self.coef * self.c(pos) * S[d]
+        return Kvw
 
     def edge_update(self, edge: np.ndarray) -> np.ndarray:
         """One fixed-point sweep of the far-edge trace of K^vw."""
-        M = self.M
-        new = np.empty(M + 1)
-        for jj in range(M + 1):
-            d = M - jj if self.segment_id == 1 else jj
-            vals = self.kvw_offset(d, edge)
-            new[jj] = vals[-1] if self.segment_id == 1 else vals[0]
-        return new
+        return self.kvw_table(edge)[:, self.M if self.segment_id == 1 else 0]
 
     def solve_edge(self) -> np.ndarray:
         """The fixed point of ``edge_update``, by substitution along the edge.
@@ -115,25 +118,19 @@ class _Geometry:
         each entry from the ones nearer the corner, starting there, takes one
         pass.
         """
-        M, h, m, dx = self.M, self.h, self.m, self.step
-        sign = -1.0 if self.segment_id == 1 else 1.0
-        coef = sign * self.anchor * (dx / self.ss.lambda_v)
+        M = self.M
+        d = np.arange(M + 1)
+        row = M - d if self.segment_id == 1 else d
+        foot, pos = self._nodes(row, d)
+        diag = self.diag(foot)
+        cc = self.coef * self.c(pos)
         edge = np.zeros(M + 1)
-        for d in range(M + 1):
-            i = np.arange(d)
-            if self.segment_id == 1:
-                jj, lo, hi = M - d, M - d, M
-                x_d = jj * h + d * dx
-                c = self.c(M * h - m * (i + 0.5) * dx)
-                own = 0.5 * c[0] if d else 0.0
-            else:
-                jj, lo, hi = d, 0, d
-                x_d = (-self.L + jj * h) - d * dx
-                c = self.c(x_d - m * (i + 0.5) * dx)
-                own = 0.5 * c[-1] if d else 0.0
-            # edge[jj] is still zero here, so this sum leaves out its own term
-            known = c @ (0.5 * (edge[lo:hi] + edge[lo + 1 : hi + 1]))
-            edge[jj] = (self.diag(x_d) + coef * known) / (1.0 - coef * own)
+        edge[row[0]] = diag[0]
+        for n in range(1, M + 1):
+            lo, own = (M - n, self.g[0]) if self.segment_id == 1 else (0, self.g[n - 1])
+            # edge[row[n]] is still zero here, so this sum leaves out its own term
+            known = self.g[:n] @ (0.5 * (edge[lo : lo + n] + edge[lo + 1 : lo + n + 1]))
+            edge[row[n]] = (diag[n] + cc[n] * known) / (1.0 - 0.5 * cc[n] * own)
         return edge
 
 
@@ -142,30 +139,17 @@ def solve_kernels(segment_id: int, net: NetworkParams, M: int = 128) -> KernelTa
     if M < 16:
         raise DomainError(f"M must be at least 16, got {M}")
     geo = _Geometry(segment_id, net, M)
-    edge = geo.solve_edge()
-    Kvw = np.zeros((M + 1, M + 1))
-    for d in range(M + 1):
-        vals = geo.kvw_offset(d, edge)
-        if segment_id == 1:
-            j = np.arange(M + 1 - d)
-            Kvw[j, j + d] = vals
-        else:
-            j = np.arange(d, M + 1)
-            Kvw[j, j - d] = vals
+    Kvw = geo.kvw_table(geo.solve_edge())
     # K^vv is constant along each diagonal of the table and anchored on the
     # filled edge column, making the edge condition an identity of the stored
     # table rather than an approximation.
     Kvv = np.zeros((M + 1, M + 1))
     if segment_id == 1:
-        edge_col = Kvw[:, M]
-        for d in range(M + 1):
-            j = np.arange(M + 1 - d)
-            Kvv[j, j + d] = geo.anchor * edge_col[M - d]
+        j, k = np.triu_indices(M + 1)
+        Kvv[j, k] = geo.anchor * Kvw[M - (k - j), M]
     else:
-        edge_col = Kvw[:, 0]
-        for d in range(M + 1):
-            j = np.arange(d, M + 1)
-            Kvv[j, j - d] = geo.anchor * edge_col[d]
+        j, k = np.tril_indices(M + 1)
+        Kvv[j, k] = geo.anchor * Kvw[j - k, 0]
     return KernelTable(
         segment_id=segment_id,
         M=M,

@@ -4,6 +4,7 @@ import pytest
 from stopngo import cli
 from stopngo.config import apply_overrides, default_config, emit_resolved, parse_config
 from stopngo.errors import ConfigError
+from stopngo.kernels import solve_kernels
 
 
 def test_resolved_round_trip(tmp_path):
@@ -158,6 +159,16 @@ def test_cli_kernels_rerun_identical(tmp_path, capsys):
         capsys.readouterr()
     for name in ("kernels_seg1.csv", "kernels_seg2.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # each table's line reports the kernel magnitudes read from the table
+    net = default_config().net
+    lines = (out1 / "kernel_report.txt").read_text().splitlines()
+    for seg_id in (1, 2):
+        for M in (16, 32):
+            t = solve_kernels(seg_id, net, M=M)
+            (line,) = [ln for ln in lines if ln.startswith(f"segment {seg_id}, M = {M}:")]
+            assert line.endswith(
+                f"max|Kvw| = {np.abs(t.Kvw).max():.3e}, max|Kvv| = {np.abs(t.Kvv).max():.3e}"
+            )
 
 
 def test_cli_simulate_quiescent(tmp_path, capsys):
