@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DomainError, RepresentationError
 from .kernels import KernelTable
 from .model import NetworkParams
-from .riemann import SCALED, FieldState, boundary_rows, riemann_arrays, scale_factor
+from .riemann import RIEMANN, FieldState, boundary_rows, riemann_arrays, scale_w
 
 
 @dataclass
@@ -44,8 +44,8 @@ def _volterra_matrix(K: np.ndarray, h: float, upper: bool) -> np.ndarray:
 class FeedbackOperators:
     """The feedback law and the Volterra map of one kernel pair, built once.
 
-    Holds the junction kernel rows with their trapezoid weights, g_t and
-    g_control, the factors exp(x/(tau v*)) on the two state grids (checked
+    The tables act on (w-tilde_i, v-tilde_i). Holds the junction kernel rows
+    with their trapezoid weights, g_t and g_control, the state grids (checked
     against the table grids here, once) and, on first use, the four
     trapezoid-weighted triangular matrices of the transform.
     """
@@ -69,8 +69,6 @@ class FeedbackOperators:
         self.trap2 = trap_weights(table2.M + 1, table2.h)
         self.k1w, self.k1v = table1.Kvw[0], table1.Kvv[0]
         self.k2w, self.k2v = table2.Kvw[table2.M], table2.Kvv[table2.M]
-        self.factor1 = scale_factor(grid1, net.ss1, net.seg1)
-        self.factor2 = scale_factor(grid2, net.ss2, net.seg2)
 
     @cached_property
     def volterra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -80,72 +78,75 @@ class FeedbackOperators:
                 _volterra_matrix(t2.Kvw, t2.h, False), _volterra_matrix(t2.Kvv, t2.h, False))
 
     def u0(self, w1, v1, w2, v2) -> float:
-        """U0 from the rescaled components (w-bar_i, v-tilde_i)."""
+        """U0 from the Riemann components (w-tilde_i, v-tilde_i)."""
         i1 = self.trap1 @ (self.k1w * w1 + self.k1v * v1)
         i2 = self.trap2 @ (self.k2w * w2 + self.k2v * v2)
         return float((i2 - self.g_t * i1) / self.g_control)
 
     def u0_physical(self, rho1, v1, rho2, v2) -> float:
-        """U0 from the physical state, through the map scale_w applies."""
-        wt1, vt1 = riemann_arrays(rho1, v1, self.net.ss1, self.net.seg1)
-        wt2, vt2 = riemann_arrays(rho2, v2, self.net.ss2, self.net.seg2)
-        return self.u0(self.factor1 * wt1, vt1, self.factor2 * wt2, vt2)
+        """U0 from the physical state, through riemann_arrays."""
+        net = self.net
+        return self.u0(*riemann_arrays(rho1, v1, net.ss1, net.seg1),
+                       *riemann_arrays(rho2, v2, net.ss2, net.seg2))
 
-    def target(self, w1, v1, w2, v2) -> TargetState:
+    def target(self, riem1: FieldState, riem2: FieldState) -> TargetState:
+        """beta_i from the Riemann states; alpha_i is w-bar_i, their rescaled w."""
         A1w, A1v, A2w, A2v = self.volterra
+        net = self.net
+        w1, v1, w2, v2 = riem1.a, riem1.b, riem2.a, riem2.b
         return TargetState(self.grid1.copy(), self.grid2.copy(),
-                           w1.copy(), v1 - (A1w @ w1 + A1v @ v1),
-                           w2.copy(), v2 - (A2w @ w2 + A2v @ v2))
+                           scale_w(riem1, net.ss1, net.seg1).a, v1 - (A1w @ w1 + A1v @ v1),
+                           scale_w(riem2, net.ss2, net.seg2).a, v2 - (A2w @ w2 + A2v @ v2))
 
 
-def _operators(scaled1, scaled2, table1, table2, net, ops=None) -> FeedbackOperators:
-    for state in (scaled1, scaled2):
-        if state.rep != SCALED:
-            raise RepresentationError(f"expected scaled state, got {state.rep}")
+def _operators(riem1, riem2, table1, table2, net, ops=None) -> FeedbackOperators:
+    for state in (riem1, riem2):
+        if state.rep != RIEMANN:
+            raise RepresentationError(f"expected Riemann state, got {state.rep}")
     if ops is None:
-        return FeedbackOperators(table1, table2, net, scaled1.grid, scaled2.grid)
+        return FeedbackOperators(table1, table2, net, riem1.grid, riem2.grid)
     if ops.table1 is not table1 or ops.table2 is not table2 or ops.net is not net:
         raise DomainError("operators were built for other tables or another network")
-    for state, grid in ((scaled1, ops.grid1), (scaled2, ops.grid2)):
+    for state, grid in ((riem1, ops.grid1), (riem2, ops.grid2)):
         if state.grid.shape != grid.shape or not np.allclose(state.grid, grid):
             raise DomainError("state grid does not match the kernel table grid")
     return ops
 
 
 def backstepping_transform(
-    scaled1: FieldState,
-    scaled2: FieldState,
+    riem1: FieldState,
+    riem2: FieldState,
     table1: KernelTable,
     table2: KernelTable,
     net: NetworkParams,
     ops: FeedbackOperators | None = None,
 ) -> TargetState:
-    """Volterra map to the target variables (alpha_i, beta_i).
+    """Volterra map of the Riemann states to the target variables (alpha_i, beta_i).
 
-    alpha_i is the rescaled driver-property perturbation unchanged; beta_i
-    subtracts the kernel integral of the state over the part of the segment
-    the corresponding characteristic still has to traverse. Passing the
-    FeedbackOperators of these tables and grids saves rebuilding them.
+    alpha_i is w-bar_i; beta_i subtracts from v-tilde_i the kernel integral
+    of (w-tilde_i, v-tilde_i) over the part of the segment the corresponding
+    characteristic still has to traverse. Passing the FeedbackOperators of
+    these tables and grids saves rebuilding them.
     """
-    ops = _operators(scaled1, scaled2, table1, table2, net, ops)
-    return ops.target(scaled1.a, scaled1.b, scaled2.a, scaled2.b)
+    ops = _operators(riem1, riem2, table1, table2, net, ops)
+    return ops.target(riem1, riem2)
 
 
 def control_input(
-    scaled1: FieldState,
-    scaled2: FieldState,
+    riem1: FieldState,
+    riem2: FieldState,
     table1: KernelTable,
     table2: KernelTable,
     net: NetworkParams,
 ) -> float:
-    """Ramp-metering flux correction U0 evaluated from the current state.
+    """Ramp-metering flux correction U0 evaluated from the current Riemann state.
 
     U0 = (I2 - g_t I1) / g_control = -q*/(v2*(1+r2)) * (I2 - g_t I1) with I_i
-    the kernel rows at the junction integrated against the rescaled state of
-    segment i; it makes the junction row of the target system hold.
+    the kernel rows at the junction integrated against (w-tilde_i,
+    v-tilde_i); it makes the junction row of the target system hold.
     """
-    ops = _operators(scaled1, scaled2, table1, table2, net)
-    return ops.u0(scaled1.a, scaled1.b, scaled2.a, scaled2.b)
+    ops = _operators(riem1, riem2, table1, table2, net)
+    return ops.u0(riem1.a, riem1.b, riem2.a, riem2.b)
 
 
 def target_residual(record, net: NetworkParams) -> float:

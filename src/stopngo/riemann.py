@@ -101,7 +101,7 @@ def scale_w(riem: FieldState, ss: SteadyState, params: SegmentParams) -> FieldSt
 
 def unscale_w(scaled: FieldState, ss: SteadyState, params: SegmentParams) -> FieldState:
     _require(scaled, SCALED)
-    factor = np.exp(-scaled.grid / (params.tau * ss.v_star))
+    factor = scale_factor(-scaled.grid, ss, params)
     return FieldState(scaled.grid.copy(), factor * scaled.a, scaled.b.copy(), RIEMANN)
 
 

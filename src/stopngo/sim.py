@@ -24,6 +24,7 @@ from .riemann import (
     boundary_rows,
     coupling_coefficient,
     physical_arrays,
+    scale_factor,
     scale_w,
     to_riemann,
     unscale_w,
@@ -152,7 +153,7 @@ class _Recorder:
         self.cols = {k: [] for k in keys}
         self.target = [] if tables is not None else None
 
-    def push(self, t, u0, phys1, phys2, scaled1, scaled2):
+    def push(self, t, u0, phys1, phys2, riem1, riem2, scaled1, scaled2):
         net, cols = self.net, self.cols
         for k, arr in zip(_STATE_KEYS, (phys1.a, phys1.b, phys2.a, phys2.b,
                                         scaled1.a, scaled1.b, scaled2.a, scaled2.b)):
@@ -168,7 +169,7 @@ class _Recorder:
             ))
         if self.target is not None:
             self.target.append(
-                backstepping_transform(scaled1, scaled2, *self.tables, net, self.ops)
+                backstepping_transform(riem1, riem2, *self.tables, net, self.ops)
             )
 
     def finish(self, window, n_steps, **extra) -> SimRecord:
@@ -183,13 +184,12 @@ class _Recorder:
         )
 
 
-def _affine_physical(scaled: FieldState, ss, params) -> FieldState:
+def _affine_physical(riem: FieldState, ss, params) -> FieldState:
     # Diagnostic reconstruction for linear snapshots. The linearized state is
     # free to leave the box (0, rho_max) x (0, v_max) transiently, so this
     # applies the affine inverse without the range guard of from_riemann.
-    til = unscale_w(scaled, ss, params)
-    rho, v = physical_arrays(til.a, til.b, ss, params)
-    return FieldState(scaled.grid.copy(), rho, v, PHYSICAL)
+    rho, v = physical_arrays(riem.a, riem.b, ss, params)
+    return FieldState(riem.grid.copy(), rho, v, PHYSICAL)
 
 
 def _table_operators(tables, net, x1, x2) -> FeedbackOperators | None:
@@ -212,7 +212,9 @@ def run_linear(
     Transport speeds are +v_i* for w-bar and -(gamma_i p_i* - v_i*) for
     v-tilde, with the cross source c_i(x) w-bar_i in the v-tilde equations.
     The closed loop solves the junction row together with the feedback law
-    each step, so the target-system junction relation holds exactly.
+    each step, so the target-system junction relation holds exactly. The
+    kernel tables act on w-tilde = exp(-x/(tau v*)) w-bar, so that factor is
+    folded into the junction rows once and applied to the recorded states.
     """
     closed = cfg.loop_mode == "closed"
     if closed and tables is None:
@@ -240,8 +242,9 @@ def run_linear(
 
     if ops is not None:
         A1w, A1v, A2w, A2v = ops.volterra
-        k1w0, k1v0 = A1w[0], A1v[0]
-        k2wN, k2vN = A2w[N], A2v[N]
+        # scale_factor of -x is exp(-x/(tau v*)), the map from w-bar to w-tilde
+        k1w0, k1v0 = A1w[0] * scale_factor(-x1, ss1, seg1), A1v[0]
+        k2wN, k2vN = A2w[N] * scale_factor(-x2, ss2, seg2), A2v[N]
         # the junction row contains v2[N] inside its own quadrature; solve for it
         denom = 1.0 - k2vN[N]
         trace_t, trace_b2 = [], []
@@ -253,9 +256,11 @@ def run_linear(
     def snapshot(t, u0):
         sc1 = FieldState(x1, w1, v1, SCALED)
         sc2 = FieldState(x2, w2, v2, SCALED)
-        p1 = _affine_physical(sc1, ss1, seg1)
-        p2 = _affine_physical(sc2, ss2, seg2)
-        rec.push(t, u0, p1, p2, sc1, sc2)
+        ri1 = unscale_w(sc1, ss1, seg1)
+        ri2 = unscale_w(sc2, ss2, seg2)
+        p1 = _affine_physical(ri1, ss1, seg1)
+        p2 = _affine_physical(ri2, ss2, seg2)
+        rec.push(t, u0, p1, p2, ri1, ri2, sc1, sc2)
 
     snapshot(0.0, 0.0)
     t, step, u0 = 0.0, 0, 0.0
@@ -390,9 +395,9 @@ def run_nonlinear(
     def record(t, u0):
         ph1 = FieldState(x1, rho1, v1, PHYSICAL)
         ph2 = FieldState(x2, rho2, v2, PHYSICAL)
-        sc1 = scale_w(to_riemann(ph1, ss1, seg1), ss1, seg1)
-        sc2 = scale_w(to_riemann(ph2, ss2, seg2), ss2, seg2)
-        rec.push(t, u0, ph1, ph2, sc1, sc2)
+        ri1 = to_riemann(ph1, ss1, seg1)
+        ri2 = to_riemann(ph2, ss2, seg2)
+        rec.push(t, u0, ph1, ph2, ri1, ri2, scale_w(ri1, ss1, seg1), scale_w(ri2, ss2, seg2))
 
     record(0.0, 0.0)
 

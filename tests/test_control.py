@@ -5,18 +5,19 @@ import pytest
 
 import stopngo as sg
 from stopngo.control import backstepping_transform, control_input, target_residual
-from stopngo.errors import DomainError
+from stopngo.errors import DomainError, RepresentationError
 from stopngo.errors import AssumptionError, InfeasibleError
 from stopngo.kernels import solve_kernels
 from stopngo.model import SegmentParams, admissible_flux_interval, make_network
-from stopngo.riemann import SCALED, FieldState, boundary_rows
+from stopngo.riemann import PHYSICAL, RIEMANN, SCALED, FieldState, scale_w, to_riemann, unscale_w
 from stopngo.sim import run_linear, run_nonlinear
 
 L = 2000.0
 
 
 def fs(x, a, b):
-    return FieldState(x, np.asarray(a, float), np.asarray(b, float), SCALED)
+    """A Riemann state (w-tilde, v-tilde), the coordinates of the kernel tables."""
+    return FieldState(x, np.asarray(a, float), np.asarray(b, float), RIEMANN)
 
 
 def grids(M):
@@ -46,12 +47,14 @@ def test_zero_kernels_make_transform_identity(net, tables):
     tar = backstepping_transform(fs(x1, w1, v1), fs(x2, w2, v2), t1, t2, net)
     assert np.array_equal(tar.beta1, v1)
     assert np.array_equal(tar.beta2, v2)
-    assert np.array_equal(tar.alpha1, w1)
-    assert np.array_equal(tar.alpha2, w2)
+    # alpha_i is w-bar_i, the rescaled w-tilde_i
+    assert np.array_equal(tar.alpha1, scale_w(fs(x1, w1, v1), net.ss1, net.seg1).a)
+    assert np.array_equal(tar.alpha2, scale_w(fs(x2, w2, v2), net.ss2, net.seg2).a)
 
 
 def row_loop_transform(w1, v1, w2, v2, t1, t2):
-    """The transform one row at a time, each row its own trapezoid rule."""
+    """The transform of (w-tilde_i, v-tilde_i) one row at a time, each row its
+    own trapezoid rule."""
 
     def trap(n, h):
         w = np.full(n, h)
@@ -108,8 +111,8 @@ def test_matrix_transform_matches_row_loop(net, M):
         tar = backstepping_transform(fs(t1.x, w1, v1), fs(t2.x, w2, v2), t1, t2, n)
         beta1, beta2 = row_loop_transform(w1, v1, w2, v2, t1, t2)
         # rounding scales with the size of the integrals being summed: the
-        # state times the inf-norm of the transform, about 4 on the default
-        # network and up to 4e4 on the networks drawn here
+        # state times the inf-norm of the transform, 2.0-2.3 on the default
+        # network and 1.2-3.4 on the networks drawn here
         gain = max(
             1.0 + t.h * float(np.max(np.sum(np.abs(t.Kvw) + np.abs(t.Kvv), axis=1)))
             for t in (t1, t2)
@@ -125,6 +128,18 @@ def test_grid_mismatch_rejected(net, tables):
     z = np.zeros(129)
     with pytest.raises(DomainError):
         backstepping_transform(fs(x1, z, z), fs(x2, z, z), t1, t2, net)
+
+
+def test_scaled_state_rejected(net, tables):
+    # the tables act on w-tilde; a w-bar state is a representation error
+    t1, t2 = tables(64)
+    x1, x2 = grids(64)
+    z = np.zeros(65)
+    scaled = FieldState(x1, z, z, SCALED)
+    with pytest.raises(RepresentationError, match="expected Riemann state"):
+        backstepping_transform(scaled, fs(x2, z, z), t1, t2, net)
+    with pytest.raises(RepresentationError, match="expected Riemann state"):
+        control_input(fs(x1, z, z), FieldState(x2, z, z, SCALED), t1, t2, net)
 
 
 def test_operators_must_match_their_tables(net, tables):
@@ -146,8 +161,8 @@ def test_operators_must_match_their_tables(net, tables):
 
 
 def test_manufactured_integral_against_fine_quadrature(net, tables):
-    # constant w-bar on segment 1 turns beta1 into minus the row integral of
-    # K^vw; re-integrate the interpolated rows on a 10x finer grid
+    # constant w-tilde on segment 1 turns beta1 into minus the row integral
+    # of K^vw; re-integrate the interpolated rows on a 10x finer grid
     t1, t2 = tables(64)
     x1, x2 = grids(64)
     one, z = np.ones(65), np.zeros(65)
@@ -190,7 +205,7 @@ def test_transform_and_feedback_are_linear(net, tables, rng):
 
 
 def test_volterra_inversion_by_fixed_point(net, tables):
-    # the transform is invertible: holding w-bar fixed and iterating
+    # the transform is invertible: holding w-tilde fixed and iterating
     # v <- v + (beta_target - beta(v)) recovers the original v fields
     t1, t2 = tables(256)
     x1, x2 = grids(256)
@@ -221,9 +236,10 @@ def test_recorded_feedback_matches_recomputed(net, tables, window):
     rec = run_linear(cfg, net, tb)
     worst = 0.0
     for i in range(1, len(rec.times)):
+        # the linear stepper records w-bar; the law reads w-tilde
         u = control_input(
-            fs(rec.grid1, rec.wbar1[i], rec.vtil1[i]),
-            fs(rec.grid2, rec.wbar2[i], rec.vtil2[i]),
+            unscale_w(FieldState(rec.grid1, rec.wbar1[i], rec.vtil1[i], SCALED), net.ss1, net.seg1),
+            unscale_w(FieldState(rec.grid2, rec.wbar2[i], rec.vtil2[i], SCALED), net.ss2, net.seg2),
             tb[0],
             tb[1],
             net,
@@ -250,8 +266,8 @@ def test_nonlinear_u0_is_the_public_law_on_every_record(net, tables, window):
     assert np.any(rec.u0[1:] != 0.0)
     for k, u in enumerate(rec.u0[1:]):
         want = control_input(
-            fs(rec.grid1, rec.wbar1[k], rec.vtil1[k]),
-            fs(rec.grid2, rec.wbar2[k], rec.vtil2[k]),
+            to_riemann(FieldState(rec.grid1, rec.rho1[k], rec.v1[k], PHYSICAL), net.ss1, net.seg1),
+            to_riemann(FieldState(rec.grid2, rec.rho2[k], rec.v2[k], PHYSICAL), net.ss2, net.seg2),
             tb[0],
             tb[1],
             net,

@@ -14,6 +14,8 @@ from stopngo.sim import (
     run_linear,
     run_nonlinear,
 )
+from test_kernels import CORNER
+from test_stability import _criterion_2_network
 
 
 def test_config_validation():
@@ -187,6 +189,24 @@ def test_inlet_ghost_density_failure(net, window):
         SimulationError, match="inlet ghost density reached rho_max at step 19$"
     ):
         run_nonlinear(cfg, net)
+
+
+def test_corner_closed_loop_stops_where_the_open_loop_does():
+    # at q* = 0.05 of the admissible maximum on the corner of criterion 2's
+    # ranges, the kernels in scaled coordinates overflowed and the closed
+    # loop stopped on a non-finite state; with the bounded kernels it stops
+    # where the open loop does, on the plant's inlet bound (v2* = 0.06 m/s)
+    net = _criterion_2_network(CORNER, q_range=(0.02, 0.9))
+    tables = (sg.solve_kernels(1, net, M=64), sg.solve_kernels(2, net, M=64))
+    for loop, tb in (("open", None), ("closed", tables)):
+        cfg = sg.SimConfig(
+            t_final=60.0, N=64, loop_mode=loop, model="nonlinear",
+            ic=sg.ICSpec(eps=1e-3), record_every=8,
+        )
+        with pytest.raises(
+            SimulationError, match="inlet ghost density reached rho_max at step 1$"
+        ):
+            run_nonlinear(cfg, net, tb)
 
 
 def test_density_pushed_above_rho_max_raises(net, window, monkeypatch):

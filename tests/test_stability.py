@@ -80,11 +80,12 @@ def _perron_scaling(H):
     return np.sqrt(w / u)
 
 
-def _criterion_2_network(u, reverse=False):
+def _criterion_2_network(u, reverse=False, q_range=(0.25, 0.9)):
     """A network from criterion 2's ranges, mapped from nine numbers in [0, 1].
 
-    reverse swaps the parameters of the two segments. None when the draw is
-    not admissible.
+    reverse swaps the parameters of the two segments; q_range is the range of
+    q* as a fraction of the admissible maximum. None when the draw is not
+    admissible.
     """
     v_max, length = 25.0 + 25.0 * u[0], 800.0 + 2200.0 * u[1]
     params = [
@@ -99,7 +100,8 @@ def _criterion_2_network(u, reverse=False):
     ]
     hi = min(sg.admissible_flux_interval(seg)[1] for seg in segs)
     try:
-        return sg.make_network(segs[0], segs[1], (0.25 + 0.65 * u[8]) * hi)
+        lo, top = q_range
+        return sg.make_network(segs[0], segs[1], (lo + (top - lo) * u[8]) * hi)
     except (AssumptionError, sg.InfeasibleError):
         return None
 
