@@ -89,11 +89,26 @@ def _check_rho(rho, params: SegmentParams):
 def pressure(rho, params: SegmentParams):
     """Traffic pressure p(rho) = c * rho^gamma, with c = v_max / rho_max^gamma."""
     rho = _check_rho(rho, params)
-    return params.pressure_coeff * rho**params.gamma
+    return pressure_law(rho, params.pressure_coeff, params.gamma)
+
+
+def pressure_law(rho, coeff, gamma):
+    """c * rho^gamma without the range guard. The parameters broadcast, so
+    (n, 1) columns of c and gamma evaluate n stacked segments in one call.
+
+    On arrays, a scalar gamma of exactly 0.5 or 2 takes numpy's sqrt or
+    square path, which may differ in the last bit from the general power
+    that a column takes; every other exponent gives the same bits either way.
+    """
+    return coeff * rho**gamma
 
 
 def inverse_pressure(p_val, params: SegmentParams):
     """Density at which the pressure equals p_val."""
+    if isinstance(p_val, float):  # scalars skip the array round trip
+        if p_val < 0:
+            raise DomainError("pressure must be nonnegative")
+        return params.rho_max * (float(p_val) / params.v_max) ** (1.0 / params.gamma)
     p_val = np.asarray(p_val, dtype=float)
     if np.any(p_val < 0):
         raise DomainError("pressure must be nonnegative")

@@ -16,7 +16,7 @@ from .control import FeedbackOperators, TargetState, backstepping_transform, con
 from .control import trap_weights
 from .errors import DomainError, SimulationError
 from .kernels import KernelTable
-from .model import NetworkParams, equilibrium_velocity, inverse_pressure, pressure
+from .model import NetworkParams, equilibrium_velocity, inverse_pressure, pressure, pressure_law
 from .riemann import (
     PHYSICAL,
     SCALED,
@@ -364,6 +364,10 @@ def run_nonlinear(
     built from the outgoing characteristic invariants (w from segment 2,
     v from segment 1) and the flux balance with the ramp input, which keeps
     the per-step mass accounting exact.
+
+    Both segments step as one stacked state: U[0] is rho and U[1] is y, one
+    row per segment, and the segment parameters are (2, 1) columns, so each
+    stage of a step is one set of array calls for the whole network.
     """
     closed = cfg.loop_mode == "closed"
     if closed and tables is None:
@@ -378,23 +382,39 @@ def run_nonlinear(
     ops = _table_operators(tables, net, x1, x2)
     wc = trap_weights(N + 1, h)
 
+    segs = (seg1, seg2)
+    coeff, gamma, rho_max, tau = (
+        np.array([[getattr(s, k)] for s in segs])
+        for k in ("pressure_coeff", "gamma", "rho_max", "tau")
+    )
+    v_max = seg1.v_max  # NetworkParams requires both segments to share it
+
+    def stacked_pressure(R):
+        # one range check for both rows; a density out of range is checked
+        # again row by row, so the error names that segment's rho_max
+        if (R < 0.0).any() or (R > rho_max).any():
+            for rho, params in zip(R, segs):
+                pressure(rho, params)
+        return pressure_law(R, coeff, gamma)
+
     phys1, phys2 = initial_condition(cfg.ic, net, N)
-    rho1, v1 = phys1.a.copy(), phys1.b.copy()
-    rho2, v2 = phys2.a.copy(), phys2.b.copy()
-    # one range-checked pressure per segment and step, on the current density;
-    # it serves the wave speeds, the relaxation and the velocity update
-    p1 = pressure(rho1, seg1)
-    p2 = pressure(rho2, seg2)
-    y1 = rho1 * (v1 + p1)
-    y2 = rho2 * (v2 + p2)
+    U = np.empty((2, 2, N + 1))
+    R, Y = U  # views: R[i] and Y[i] belong to segment i + 1
+    R[:] = phys1.a, phys2.a
+    V = np.stack((phys1.b, phys2.b))
+    # one range-checked pressure per step, on the current density; it serves
+    # the wave speeds, the relaxation and the velocity update
+    P = stacked_pressure(R)
+    Y[:] = R * (V + P)
+    f_left, f_right = np.empty((2, 2)), np.empty((2, 2))
 
     rec = _Recorder(net, x1, x2, tables, ops)
-    mass = float(wc @ rho1 + wc @ rho2)
+    mass = float(wc @ R[0] + wc @ R[1])
     mass_err = 0.0
 
     def record(t, u0):
-        ph1 = FieldState(x1, rho1, v1, PHYSICAL)
-        ph2 = FieldState(x2, rho2, v2, PHYSICAL)
+        ph1 = FieldState(x1, R[0], V[0], PHYSICAL)
+        ph2 = FieldState(x2, R[1], V[1], PHYSICAL)
         ri1 = to_riemann(ph1, ss1, seg1)
         ri2 = to_riemann(ph2, ss2, seg2)
         rec.push(t, u0, ph1, ph2, ri1, ri2, scale_w(ri1, ss1, seg1), scale_w(ri2, ss2, seg2))
@@ -403,64 +423,51 @@ def run_nonlinear(
 
     t, step, u0 = 0.0, 0, 0.0
     while True:
-        for label, rho, v in (("segment 1", rho1, v1), ("segment 2", rho2, v2)):
-            if np.any(rho <= RHO_FLOOR) or np.any(v <= 0.0):
-                raise SimulationError(
-                    f"state left the congested regime in {label} at step {step}, "
-                    f"t = {t:.3f} s (min rho = {rho.min():.3e}, min v = {v.min():.3e})"
-                )
-        a1 = np.maximum(np.abs(v1 - seg1.gamma * p1), np.abs(v1))
-        a2 = np.maximum(np.abs(v2 - seg2.gamma * p2), np.abs(v2))
-        amax = max(float(a1.max()), float(a2.max()))
+        if (R <= RHO_FLOOR).any() or (V <= 0.0).any():
+            for label, rho, v in zip(("segment 1", "segment 2"), R, V):
+                if (rho <= RHO_FLOOR).any() or (v <= 0.0).any():
+                    raise SimulationError(
+                        f"state left the congested regime in {label} at step {step}, "
+                        f"t = {t:.3f} s (min rho = {rho.min():.3e}, min v = {v.min():.3e})"
+                    )
+        A = np.maximum(np.abs(V - gamma * P), np.abs(V))
+        amax = float(A.max())
         if t >= cfg.t_final - 1e-12 * cfg.t_final:
             break
         dt = min(cfg.cfl * (0.5 * h) / amax, cfg.t_final - t)
 
-        u0 = ops.u0_physical(rho1, v1, rho2, v2) if closed else 0.0
+        u0 = ops.u0_physical(R[0], V[0], R[1], V[1]) if closed else 0.0
 
         (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = boundary_fluxes(
-            rho1, v1, rho2, v2, u0, net, step
+            R[0], V[0], R[1], V[1], u0, net, step
         )
+        # [conserved quantity, segment] at the left and right end nodes
+        f_left[0] = q1J, q_in
+        f_left[1] = q1J * w1J, q_in * w_in
+        f_right[0] = q_out, q2J
+        f_right[1] = q_out * w_out, q2J * w2J
 
-        fluxes = []
-        for rho, v, y, aloc, fl, fr_ in (
-            (rho1, v1, y1, a1, (q1J, q1J * w1J), (q_out, q_out * w_out)),
-            (rho2, v2, y2, a2, (q_in, q_in * w_in), (q2J, q2J * w2J)),
-        ):
-            q = rho * v
-            fy = y * v
-            am = np.maximum(aloc[:-1], aloc[1:])
-            f_rho = 0.5 * (q[:-1] + q[1:]) - 0.5 * am * (rho[1:] - rho[:-1])
-            f_y = 0.5 * (fy[:-1] + fy[1:]) - 0.5 * am * (y[1:] - y[:-1])
-            fluxes.append((f_rho, f_y, fl, fr_))
-
-        for (rho, y), (f_rho, f_y, fl, fr_) in zip(
-            ((rho1, y1), (rho2, y2)), fluxes
-        ):
-            rho[0] -= dt * (f_rho[0] - fl[0]) / (0.5 * h)
-            rho[1:-1] -= dt * (f_rho[1:] - f_rho[:-1]) / h
-            rho[-1] -= dt * (fr_[0] - f_rho[-1]) / (0.5 * h)
-            y[0] -= dt * (f_y[0] - fl[1]) / (0.5 * h)
-            y[1:-1] -= dt * (f_y[1:] - f_y[:-1]) / h
-            y[-1] -= dt * (fr_[1] - f_y[-1]) / (0.5 * h)
+        F = U * V  # (rho v, y v)
+        am = np.maximum(A[:, :-1], A[:, 1:])
+        flux = 0.5 * (F[..., :-1] + F[..., 1:]) - 0.5 * am * (U[..., 1:] - U[..., :-1])
+        U[..., 0] -= dt * (flux[..., 0] - f_left) / (0.5 * h)
+        U[..., 1:-1] -= dt * (flux[..., 1:] - flux[..., :-1]) / h
+        U[..., -1] -= dt * (f_right - flux[..., -1]) / (0.5 * h)
 
         # relaxation on the post-flux state; y carries the whole source and
-        # rho is left alone, so p stays valid for v and the next wave speeds
-        p1 = pressure(rho1, seg1)
-        p2 = pressure(rho2, seg2)
-        for rho, y, p, params in ((rho1, y1, p1, seg1), (rho2, y2, p2, seg2)):
-            v_rel = y / rho - p
-            y += dt * (-rho * (v_rel - (params.v_max - p)) / params.tau)
+        # rho is left alone, so P stays valid for V and the next wave speeds
+        P = stacked_pressure(R)
+        v_rel = Y / R - P
+        Y += dt * (-R * (v_rel - (v_max - P)) / tau)
 
-        v1 = y1 / rho1 - p1
-        v2 = y2 / rho2 - p2
+        V = Y / R - P
         t += dt
         step += 1
-        if not (np.isfinite(rho1).all() and np.isfinite(y1).all()
-                and np.isfinite(rho2).all() and np.isfinite(y2).all()):
+        if not np.isfinite(U).all():
             raise SimulationError(f"non-finite state at step {step}, t = {t:.3f} s")
 
-        new_mass = float(wc @ rho1 + wc @ rho2)
+        # two 1-D dot products, not R @ wc, to keep the summation order
+        new_mass = float(wc @ R[0] + wc @ R[1])
         mass_err = max(mass_err, abs((new_mass - mass) - dt * u0) / new_mass)
         mass = new_mass
         if step % cfg.record_every == 0 or t >= cfg.t_final - 1e-12 * cfg.t_final:
@@ -492,21 +499,27 @@ def norms_and_rate(record) -> NormHistory:
 
 
 def export_states_csv(record: SimRecord, path):
-    cols = (
-        ("rho1", "v1", "wbar1", "vtil1"),
-        ("rho2", "v2", "wbar2", "vtil2"),
-    )
+    """One line per record and grid node: time,x,segment,rho,v,wbar,vtil,U0.
+
+    Each node's "x,segment," is formatted once per run and each record's
+    time and U0 once per record; the file is written one joined string per
+    segment and record, so it is never held in memory whole.
+    """
+    segments = []
+    for seg, grid, keys in (
+        (1, record.grid1, ("rho1", "v1", "wbar1", "vtil1")),
+        (2, record.grid2, ("rho2", "v2", "wbar2", "vtil2")),
+    ):
+        nodes = ["%.17g,%d," % (x, seg) for x in grid.tolist()]
+        segments.append((nodes, [getattr(record, k) for k in keys]))
     with open(path, "w") as f:
         f.write("time,x,segment,rho,v,wbar,vtil,U0\n")
-        for i, t in enumerate(record.times):
-            for seg, grid in ((1, record.grid1), (2, record.grid2)):
-                rho, v, wb, vt = (getattr(record, c)[i] for c in cols[seg - 1])
-                u = record.u0[i]
-                for j in range(grid.size):
-                    f.write(
-                        "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                        % (t, grid[j], seg, rho[j], v[j], wb[j], vt[j], u)
-                    )
+        for i, (t, u) in enumerate(zip(record.times.tolist(), record.u0.tolist())):
+            # the formatted floats hold no "%", so the row template stays valid
+            row = "%.17g,%%s%%.17g,%%.17g,%%.17g,%%.17g,%.17g\n" % (t, u)
+            for nodes, cols in segments:
+                values = zip(nodes, *(c[i].tolist() for c in cols))
+                f.write("".join([row % v for v in values]))
 
 
 def export_norms_csv(record: SimRecord, path):

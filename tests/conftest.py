@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ from stopngo.riemann import boundary_rows
 @pytest.fixture(scope="session")
 def net():
     return sg.default_network()
+
+
+@pytest.fixture(scope="session")
+def gamma_net(net):
+    """A network with non-unit exponents (1.6 and 0.9) and unequal rho_max and tau."""
+    return sg.make_network(
+        dataclasses.replace(net.seg1, gamma=1.6, tau=150.0, rho_max=0.7),
+        dataclasses.replace(net.seg2, gamma=0.9, tau=75.0, rho_max=0.9),
+        5.0,
+    )
 
 
 @pytest.fixture(scope="session")

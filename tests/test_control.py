@@ -248,17 +248,11 @@ def test_recorded_feedback_matches_recomputed(net, tables, window):
     assert worst < 1e-12
 
 
-def test_nonlinear_u0_is_the_public_law_on_every_record(net, tables, window):
+def _assert_nonlinear_u0_is_the_public_law(net, tb, ic, t_final):
     # the stepper evaluates U0 on bare arrays; it must be the same number,
     # bit for bit, as the public law on the recorded state of that step
-    tb = tables(64)
     cfg = sg.SimConfig(
-        t_final=0.1 * window,
-        N=64,
-        loop_mode="closed",
-        model="nonlinear",
-        ic=sg.ICSpec(eps=0.05, phase1=0.4, phase2=1.3),
-        record_every=1,
+        t_final=t_final, N=64, loop_mode="closed", model="nonlinear", ic=ic, record_every=1
     )
     rec = run_nonlinear(cfg, net, tb)
     # rec.u0[k + 1] is the input applied over step k, on record k's state
@@ -273,6 +267,20 @@ def test_nonlinear_u0_is_the_public_law_on_every_record(net, tables, window):
             net,
         )
         assert u == want, k
+
+
+def test_nonlinear_u0_is_the_public_law_on_every_record(net, tables, window):
+    ic = sg.ICSpec(eps=0.05, phase1=0.4, phase2=1.3)
+    _assert_nonlinear_u0_is_the_public_law(net, tables(64), ic, 0.1 * window)
+
+
+def test_nonlinear_u0_is_the_public_law_on_the_gamma_network(gamma_net):
+    # the segments differ in gamma, rho_max and tau here, so a row handed to
+    # the law from the other segment cannot agree with the record
+    net = gamma_net
+    tb = (solve_kernels(1, net, M=64), solve_kernels(2, net, M=64))
+    ic = sg.ICSpec(eps=0.02, phase1=0.4, phase2=4.3)
+    _assert_nonlinear_u0_is_the_public_law(net, tb, ic, 0.1 * (net.ss1.kappa + net.ss2.kappa))
 
 
 def test_target_needs_enough_samples(net, tables):

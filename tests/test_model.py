@@ -10,6 +10,7 @@ from stopngo.model import (
     critical_density,
     equilibrium_flow,
     equilibrium_velocity,
+    inverse_pressure,
     pressure,
     riemann_coefficients,
     solve_steady_states,
@@ -57,6 +58,22 @@ def test_domain_errors():
             pressure(rho, s)
         with pytest.raises(DomainError):
             equilibrium_velocity(rho, s)
+    for p_val in (-0.1, np.float64(-0.1), np.array([0.5, -0.1])):
+        with pytest.raises(DomainError, match="pressure must be nonnegative"):
+            inverse_pressure(p_val, s)
+
+
+def test_inverse_pressure_scalar_path_matches_array_path():
+    # a float takes the scalar branch; a 0-d array takes the array branch
+    p_vals = np.linspace(0.0, 45.0, 101)
+    for gamma in (0.8, 1.0, 2.2):
+        s = seg(gamma=gamma)
+        for p_val in p_vals:
+            got = inverse_pressure(float(p_val), s)
+            assert type(got) is float
+            assert got == inverse_pressure(np.array(p_val), s)
+            assert inverse_pressure(p_val, s) == got  # np.float64 is a float
+        assert inverse_pressure(float(pressure(0.5, s)), s) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_speed_law_plus_pressure_is_vmax():

@@ -227,13 +227,9 @@ def _finite_difference_rows(net, h=1e-6):
 
 
 @pytest.mark.parametrize("which", ["default", "gamma"])
-def test_boundary_rows_are_jacobian_of_plant_algebra(net, which):
+def test_boundary_rows_are_jacobian_of_plant_algebra(net, gamma_net, which):
     if which == "gamma":
-        net = sg.make_network(
-            dataclasses.replace(net.seg1, gamma=1.6, tau=150.0, rho_max=0.7),
-            dataclasses.replace(net.seg2, gamma=0.9, tau=75.0, rho_max=0.9),
-            5.0,
-        )
+        net = gamma_net
     rows = boundary_rows(net)
     jac = _finite_difference_rows(net)
     # incoming order: v-tilde1(L), w-bar2(-L), w-bar1(0), v-tilde2(0)

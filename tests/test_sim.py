@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 import stopngo as sg
+from stopngo.control import trap_weights
 from stopngo.errors import DomainError, SimulationError
 from stopngo.model import equilibrium_velocity, pressure
 from stopngo.riemann import PHYSICAL, coupling_coefficient
@@ -224,7 +225,44 @@ def test_density_pushed_above_rho_max_raises(net, window, monkeypatch):
         t_final=window, N=64, loop_mode="open", model="nonlinear",
         ic=sg.ICSpec(eps=0.0), record_every=8,
     )
-    with pytest.raises(DomainError, match="density outside"):
+    with pytest.raises(DomainError, match=r"density outside \[0, 0\.6667\]$"):
+        run_nonlinear(cfg, net)
+
+
+def test_segment_2_density_pushed_above_rho_max_raises(net, window, monkeypatch):
+    # the twin of the test above in segment 2: the stacked range check must
+    # name the offending segment's rho_max (0.8), not segment 1's
+    def pile_up(ic, net, N):
+        p1, p2 = initial_condition(ic, net, N)
+        rho = np.full(p2.grid.size, 0.99 * net.seg2.rho_max)
+        v = np.where(p2.grid < -0.5 * net.seg2.length, 20.0, 1.0)
+        return p1, dataclasses.replace(p2, a=rho, b=v)
+
+    monkeypatch.setattr(sg.sim, "initial_condition", pile_up)
+    cfg = sg.SimConfig(
+        t_final=window, N=64, loop_mode="open", model="nonlinear",
+        ic=sg.ICSpec(eps=0.0), record_every=8,
+    )
+    with pytest.raises(DomainError, match=r"density outside \[0, 0\.8\]$"):
+        run_nonlinear(cfg, net)
+
+
+def test_regime_exit_names_segment_2(net, window, monkeypatch):
+    # a stopped node in segment 2 only; segment 1 is a valid congested state
+    def stalled(ic, net, N):
+        p1, p2 = initial_condition(ic, net, N)
+        v = p2.b.copy()
+        v[N // 2] = 0.0
+        return p1, dataclasses.replace(p2, b=v)
+
+    monkeypatch.setattr(sg.sim, "initial_condition", stalled)
+    cfg = sg.SimConfig(
+        t_final=window, N=64, loop_mode="open", model="nonlinear",
+        ic=sg.ICSpec(eps=0.02), record_every=8,
+    )
+    with pytest.raises(
+        SimulationError, match="state left the congested regime in segment 2 at step 0,"
+    ):
         run_nonlinear(cfg, net)
 
 
@@ -414,3 +452,71 @@ def test_interior_linearization_gap_is_second_order(net):
         return np.sqrt(g2)
 
     assert 3.4 <= gap(0.04) / gap(0.02) <= 4.6
+
+
+def _per_segment_reference(cfg, net, tables=None):
+    """The nonlinear step written segment by segment, as a reference for the
+    stacked stepper: (times, u0, rho1, v1, rho2, v2) after every step, plus
+    mass_err. Same expressions in the same operand order, so the stacked
+    state must reproduce it bit for bit."""
+    seg1, seg2 = net.seg1, net.seg2
+    N = cfg.N
+    h = seg1.length / N
+    x1, x2 = np.linspace(0.0, seg1.length, N + 1), np.linspace(-seg1.length, 0.0, N + 1)
+    ops = sg.FeedbackOperators(*tables, net, x1, x2) if tables else None
+    wc = trap_weights(N + 1, h)
+    phys1, phys2 = initial_condition(cfg.ic, net, N)
+    rho = [phys1.a.copy(), phys2.a.copy()]
+    v = [phys1.b.copy(), phys2.b.copy()]
+    p = [pressure(r, s) for r, s in zip(rho, (seg1, seg2))]
+    y = [r * (vv + pp) for r, vv, pp in zip(rho, v, p)]
+    mass, mass_err = float(wc @ rho[0] + wc @ rho[1]), 0.0
+    out = [(0.0, 0.0, rho[0].copy(), v[0].copy(), rho[1].copy(), v[1].copy())]
+    t = 0.0
+    while t < cfg.t_final - 1e-12 * cfg.t_final:
+        a = [np.maximum(np.abs(vv - s.gamma * pp), np.abs(vv))
+             for vv, pp, s in zip(v, p, (seg1, seg2))]
+        dt = min(cfg.cfl * (0.5 * h) / max(float(a[0].max()), float(a[1].max())),
+                 cfg.t_final - t)
+        u0 = ops.u0_physical(rho[0], v[0], rho[1], v[1]) if ops else 0.0
+        (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = sg.sim.boundary_fluxes(
+            rho[0], v[0], rho[1], v[1], u0, net)
+        ends = (((q1J, q1J * w1J), (q_out, q_out * w_out)),
+                ((q_in, q_in * w_in), (q2J, q2J * w2J)))
+        for i, (fl, fr) in enumerate(ends):
+            am = np.maximum(a[i][:-1], a[i][1:])
+            for k, (c, f) in enumerate(((rho[i], rho[i] * v[i]), (y[i], y[i] * v[i]))):
+                fc = 0.5 * (f[:-1] + f[1:]) - 0.5 * am * (c[1:] - c[:-1])
+                c[0] -= dt * (fc[0] - fl[k]) / (0.5 * h)
+                c[1:-1] -= dt * (fc[1:] - fc[:-1]) / h
+                c[-1] -= dt * (fr[k] - fc[-1]) / (0.5 * h)
+        for i, s in enumerate((seg1, seg2)):
+            p[i] = pressure(rho[i], s)
+            v_rel = y[i] / rho[i] - p[i]
+            y[i] += dt * (-rho[i] * (v_rel - (s.v_max - p[i])) / s.tau)
+            v[i] = y[i] / rho[i] - p[i]
+        t += dt
+        new_mass = float(wc @ rho[0] + wc @ rho[1])
+        mass_err = max(mass_err, abs((new_mass - mass) - dt * u0) / new_mass)
+        mass = new_mass
+        out.append((t, u0, rho[0].copy(), v[0].copy(), rho[1].copy(), v[1].copy()))
+    return [np.array(col) for col in zip(*out)], mass_err
+
+
+@pytest.mark.parametrize("which", ["default", "gamma"])
+@pytest.mark.parametrize("loop", ["open", "closed"])
+def test_stacked_stepper_matches_per_segment_reference(net, gamma_net, which, loop):
+    net = gamma_net if which == "gamma" else net
+    tables = (sg.solve_kernels(1, net, M=64), sg.solve_kernels(2, net, M=64))
+    cfg = sg.SimConfig(
+        t_final=0.2 * (net.ss1.kappa + net.ss2.kappa), N=64, loop_mode=loop,
+        model="nonlinear", ic=sg.ICSpec(eps=0.02, k1=2, phase1=0.4, phase2=4.3),
+        record_every=1,
+    )
+    rec = run_nonlinear(cfg, net, tables if loop == "closed" else None)
+    ref, mass_err = _per_segment_reference(cfg, net, tables if loop == "closed" else None)
+    assert rec.n_steps > 100
+    for got, want in zip((rec.times, rec.u0, rec.rho1, rec.v1, rec.rho2, rec.v2), ref):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert rec.mass_err == mass_err
