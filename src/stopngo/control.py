@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DomainError, RepresentationError
 from .kernels import KernelTable
 from .model import NetworkParams
-from .riemann import RIEMANN, FieldState, boundary_rows, riemann_arrays, scale_w
+from .riemann import RIEMANN, FieldState, boundary_rows, riemann_coefficients, riemann_law, scale_w
 
 
 @dataclass
@@ -45,7 +45,8 @@ class FeedbackOperators:
     """The feedback law and the Volterra map of one kernel pair, built once.
 
     The tables act on (w-tilde_i, v-tilde_i). Holds the junction kernel rows
-    with their trapezoid weights, g_t and g_control, the state grids (checked
+    stacked one row per segment, their trapezoid weights, g_t and g_control,
+    the Riemann-map parameters spread over the same rows, the state grids (checked
     against the table grids here, once) and, on first use, the four
     trapezoid-weighted triangular matrices of the transform.
     """
@@ -61,14 +62,23 @@ class FeedbackOperators:
         for grid, table in ((grid1, table1), (grid2, table2)):
             if grid.size != table.M + 1 or not np.allclose(grid, table.x):
                 raise DomainError("state grid does not match the kernel table grid")
+        if table1.M != table2.M:
+            raise DomainError("the kernel tables must share one resolution")
         self.table1, self.table2, self.net = table1, table2, net
         self.grid1, self.grid2 = grid1, grid2
         rows = boundary_rows(net)
         self.g_t, self.g_control = rows.g_t, rows.g_control
         self.trap1 = trap_weights(table1.M + 1, table1.h)
         self.trap2 = trap_weights(table2.M + 1, table2.h)
-        self.k1w, self.k1v = table1.Kvw[0], table1.Kvv[0]
-        self.k2w, self.k2v = table2.Kvw[table2.M], table2.Kvv[table2.M]
+        # junction rows: x = 0 is node 0 of segment 1 and node M of segment 2
+        self.kw = np.stack((table1.Kvw[0], table2.Kvw[table2.M]))
+        self.kv = np.stack((table1.Kvv[0], table2.Kvv[table2.M]))
+        # full rows rather than (2, 1) columns: numpy reads them faster, same bits
+        self.riemann_rows = tuple(
+            np.repeat([[a], [b]], table1.M + 1, axis=1)
+            for a, b in zip(riemann_coefficients(net.ss1, net.seg1),
+                            riemann_coefficients(net.ss2, net.seg2))
+        )
 
     @cached_property
     def volterra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -79,15 +89,19 @@ class FeedbackOperators:
 
     def u0(self, w1, v1, w2, v2) -> float:
         """U0 from the Riemann components (w-tilde_i, v-tilde_i)."""
-        i1 = self.trap1 @ (self.k1w * w1 + self.k1v * v1)
-        i2 = self.trap2 @ (self.k2w * w2 + self.k2v * v2)
-        return float((i2 - self.g_t * i1) / self.g_control)
+        return self._u0(np.stack((w1, w2)), np.stack((v1, v2)))
 
-    def u0_physical(self, rho1, v1, rho2, v2) -> float:
-        """U0 from the physical state, through riemann_arrays."""
-        net = self.net
-        return self.u0(*riemann_arrays(rho1, v1, net.ss1, net.seg1),
-                       *riemann_arrays(rho2, v2, net.ss2, net.seg2))
+    def u0_stacked(self, flux, v) -> float:
+        """U0 from the physical state of both segments as (2, M+1) rows of
+        the flux rho v and the velocity, through one stacked Riemann map."""
+        return self._u0(*riemann_law(flux, v, *self.riemann_rows))
+
+    def _u0(self, wt, vt) -> float:
+        s = self.kw * wt + self.kv * vt
+        # two 1-D dot products on contiguous rows keep each segment's summation order
+        i1 = self.trap1 @ s[0]
+        i2 = self.trap2 @ s[1]
+        return float((i2 - self.g_t * i1) / self.g_control)
 
     def target(self, riem1: FieldState, riem2: FieldState) -> TargetState:
         """beta_i from the Riemann states; alpha_i is w-bar_i, their rescaled w."""

@@ -62,9 +62,21 @@ def to_riemann(phys: FieldState, ss: SteadyState, params: SegmentParams) -> Fiel
 
 
 def riemann_arrays(rho, v, ss: SteadyState, params: SegmentParams):
-    """(w-tilde, v-tilde) of bare arrays; the single source of the map."""
-    vt = v - ss.v_star
-    wt = (params.gamma * ss.p_star / ss.q_star) * (rho * v - ss.q_star) - vt / ss.r
+    """(w-tilde, v-tilde) of bare arrays, through riemann_law."""
+    return riemann_law(rho * v, v, *riemann_coefficients(ss, params))
+
+
+def riemann_coefficients(ss: SteadyState, params: SegmentParams):
+    """(v*, q*, gamma p*/q*, r), the parameters riemann_law takes."""
+    return ss.v_star, ss.q_star, params.gamma * ss.p_star / ss.q_star, ss.r
+
+
+def riemann_law(flux, v, v_star, q_star, gain, r):
+    """(w-tilde, v-tilde) from the flux rho v and the velocity; the single
+    source of the map. The parameters broadcast, so (n, 1) columns or full
+    rows map n stacked segments in one call, bit for bit as row by row."""
+    vt = v - v_star
+    wt = gain * (flux - q_star) - vt / r
     return wt, vt
 
 

@@ -8,6 +8,7 @@ the junction is the shared node x = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -366,8 +367,12 @@ def run_nonlinear(
     the per-step mass accounting exact.
 
     Both segments step as one stacked state: U[0] is rho and U[1] is y, one
-    row per segment, and the segment parameters are (2, 1) columns, so each
-    stage of a step is one set of array calls for the whole network.
+    row per segment, and the segment parameters are (2, 1) columns or full
+    rows, so each stage of a step is one set of array calls for the whole
+    network. The stages write into work buffers allocated once per run. The
+    flux stage runs on the four rows of U laid end to end, with the left
+    boundary fluxes in a padded interface array, so the end and interior node
+    updates are one difference over the cell widths.
     """
     closed = cfg.loop_mode == "closed"
     if closed and tables is None:
@@ -375,38 +380,66 @@ def run_nonlinear(
     ss1, ss2 = net.ss1, net.ss2
     seg1, seg2 = net.seg1, net.seg2
     N = cfg.N
+    M = N + 1  # nodes per segment
     L = seg1.length
     h = L / N
-    x1 = np.linspace(0.0, L, N + 1)
-    x2 = np.linspace(-L, 0.0, N + 1)
+    x1 = np.linspace(0.0, L, M)
+    x2 = np.linspace(-L, 0.0, M)
     ops = _table_operators(tables, net, x1, x2)
-    wc = trap_weights(N + 1, h)
+    wc = trap_weights(M, h)  # also the cell widths: h/2 at the ends, h inside
 
     segs = (seg1, seg2)
-    coeff, gamma, rho_max, tau = (
-        np.array([[getattr(s, k)] for s in segs])
-        for k in ("pressure_coeff", "gamma", "rho_max", "tau")
-    )
+
+    def rows(key, n):  # a segment parameter, one row of n copies per segment
+        return np.array([[getattr(s, key)] * n for s in segs])
+
+    # the power in pressure_law takes (2, 1) columns, as the pressure always
+    # has; the comparison and the arithmetic read full rows, which numpy
+    # reads faster than it broadcasts a column, with the same bits
+    coeff, gamma = rows("pressure_coeff", 1), rows("gamma", 1)
+    gamma_n, rho_max, tau = rows("gamma", M), rows("rho_max", M), rows("tau", M)
     v_max = seg1.v_max  # NetworkParams requires both segments to share it
 
-    def stacked_pressure(R):
-        # one range check for both rows; a density out of range is checked
-        # again row by row, so the error names that segment's rho_max
-        if (R < 0.0).any() or (R > rho_max).any():
+    def stacked_pressure(R, rmin):
+        # rmin is R.min(). One range check for both rows; a density out of
+        # range, or a NaN, which fails every comparison, is checked again row
+        # by row, so the error names that segment's rho_max
+        if not rmin >= 0.0 or (R > rho_max).any():
             for rho, params in zip(R, segs):
                 pressure(rho, params)
         return pressure_law(R, coeff, gamma)
 
     phys1, phys2 = initial_condition(cfg.ic, net, N)
-    U = np.empty((2, 2, N + 1))
+    U = np.empty((2, 2, M))
     R, Y = U  # views: R[i] and Y[i] belong to segment i + 1
     R[:] = phys1.a, phys2.a
     V = np.stack((phys1.b, phys2.b))
     # one range-checked pressure per step, on the current density; it serves
-    # the wave speeds, the relaxation and the velocity update
-    P = stacked_pressure(R)
+    # the wave speeds, the relaxation and the velocity update. The relaxation
+    # leaves rho alone, so one R.min() per step serves the range check and
+    # the next step's regime check
+    rmin = R.min()
+    P = stacked_pressure(R, rmin)
     Y[:] = R * (V + P)
-    f_left, f_right = np.empty((2, 2)), np.empty((2, 2))
+
+    # Work buffers, overwritten every step. The flux stage runs on flat
+    # views of U's four rows (rho then y, segment 1 then 2) laid end to end,
+    # because numpy makes one contiguous pass much faster than four row
+    # slices. Row r, node j sits at r M + j. In the padded interface array
+    # Fp, the flux between nodes j and j + 1 of row r sits at r M + 1 + j
+    # and the left boundary flux of row r at r M, over the junk that the
+    # flat pass leaves between two rows. The right boundary fluxes have no
+    # slot; they are written into the differences at r M + N directly.
+    Uf = U.reshape(-1)
+    F = np.empty_like(U)  # U * V, then the flux differences
+    Ff = F.reshape(-1)
+    A2 = np.empty_like(U)  # the wave speeds, once per conserved quantity
+    A, A2f = A2[0], A2.reshape(-1)
+    Fp = np.empty(4 * M)
+    flux = Fp[1:]
+    am, dU = np.empty(4 * M - 1), np.empty(4 * M - 1)
+    width = np.tile(wc, 4)
+    rel, gap = np.empty_like(V), np.empty_like(V)
 
     rec = _Recorder(net, x1, x2, tables, ops)
     mass = float(wc @ R[0] + wc @ R[1])
@@ -423,44 +456,68 @@ def run_nonlinear(
 
     t, step, u0 = 0.0, 0, 0.0
     while True:
-        if (R <= RHO_FLOOR).any() or (V <= 0.0).any():
+        # a NaN fails both comparisons and is looked at row by row, which
+        # raises exactly where (R <= RHO_FLOOR).any() or (V <= 0).any() would
+        if not (rmin > RHO_FLOOR and V.min() > 0.0):
             for label, rho, v in zip(("segment 1", "segment 2"), R, V):
                 if (rho <= RHO_FLOOR).any() or (v <= 0.0).any():
                     raise SimulationError(
                         f"state left the congested regime in {label} at step {step}, "
                         f"t = {t:.3f} s (min rho = {rho.min():.3e}, min v = {v.min():.3e})"
                     )
-        A = np.maximum(np.abs(V - gamma * P), np.abs(V))
+        # A = max(|V - gamma P|, V); |V| is V, since V > 0 was checked above
+        np.multiply(gamma_n, P, out=A)
+        np.subtract(V, A, out=A)
+        np.abs(A, out=A)
+        np.maximum(A, V, out=A)
         amax = float(A.max())
         if t >= cfg.t_final - 1e-12 * cfg.t_final:
             break
         dt = min(cfg.cfl * (0.5 * h) / amax, cfg.t_final - t)
 
-        u0 = ops.u0_physical(R[0], V[0], R[1], V[1]) if closed else 0.0
+        np.multiply(U, V, out=F)  # (rho v, y v); F[0] is the rho v of the Riemann map
+        u0 = ops.u0_stacked(F[0], V) if closed else 0.0
 
         (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = boundary_fluxes(
             R[0], V[0], R[1], V[1], u0, net, step
         )
-        # [conserved quantity, segment] at the left and right end nodes
-        f_left[0] = q1J, q_in
-        f_left[1] = q1J * w1J, q_in * w_in
-        f_right[0] = q_out, q2J
-        f_right[1] = q_out * w_out, q2J * w2J
 
-        F = U * V  # (rho v, y v)
-        am = np.maximum(A[:, :-1], A[:, 1:])
-        flux = 0.5 * (F[..., :-1] + F[..., 1:]) - 0.5 * am * (U[..., 1:] - U[..., :-1])
-        U[..., 0] -= dt * (flux[..., 0] - f_left) / (0.5 * h)
-        U[..., 1:-1] -= dt * (flux[..., 1:] - flux[..., :-1]) / h
-        U[..., -1] -= dt * (f_right - flux[..., -1]) / (0.5 * h)
+        # Lax-Friedrichs: 0.5 (F_j + F_j+1) - 0.5 am (U_j+1 - U_j), with am
+        # the larger wave speed of the two nodes
+        np.add(Ff[:-1], Ff[1:], out=flux)
+        flux *= 0.5
+        np.copyto(A2[1], A)
+        np.maximum(A2f[:-1], A2f[1:], out=am)
+        am *= 0.5
+        np.subtract(Uf[1:], Uf[:-1], out=dU)
+        dU *= am
+        flux -= dU
+        # U -= dt (flux out - flux in) / width at every node, the ends included
+        Fp[::M] = q1J, q_in, q1J * w1J, q_in * w_in
+        np.subtract(Fp[1:], Fp[:-1], out=Ff[:-1])
+        Ff[N::M] = q_out, q2J, q_out * w_out, q2J * w2J
+        Ff[N::M] -= Fp[N::M]
+        Ff *= dt
+        Ff /= width
+        Uf -= Ff
 
         # relaxation on the post-flux state; y carries the whole source and
-        # rho is left alone, so P stays valid for V and the next wave speeds
-        P = stacked_pressure(R)
-        v_rel = Y / R - P
-        Y += dt * (-R * (v_rel - (v_max - P)) / tau)
+        # rho is left alone, so P stays valid for V and the next wave speeds.
+        # Y -= R (v_rel - (v_max - P)) / tau dt is the same number as
+        # Y += dt (-R (...) / tau): IEEE negation is exact
+        rmin = R.min()
+        P = stacked_pressure(R, rmin)
+        np.divide(Y, R, out=rel)
+        rel -= P  # v_rel
+        np.subtract(v_max, P, out=gap)
+        rel -= gap
+        rel *= R
+        rel /= tau
+        rel *= dt
+        Y -= rel
 
-        V = Y / R - P
+        np.divide(Y, R, out=V)
+        V -= P
         t += dt
         step += 1
         if not np.isfinite(U).all():
@@ -502,8 +559,10 @@ def export_states_csv(record: SimRecord, path):
     """One line per record and grid node: time,x,segment,rho,v,wbar,vtil,U0.
 
     Each node's "x,segment," is formatted once per run and each record's
-    time and U0 once per record; the file is written one joined string per
-    segment and record, so it is never held in memory whole.
+    time and U0 once per record. Each segment of a record is one block: the
+    row template repeated once per node, filled by a single % from the
+    interleaved (node, rho, v, wbar, vtil) values, and written as one string,
+    so the file is never held in memory whole.
     """
     segments = []
     for seg, grid, keys in (
@@ -518,8 +577,8 @@ def export_states_csv(record: SimRecord, path):
             # the formatted floats hold no "%", so the row template stays valid
             row = "%.17g,%%s%%.17g,%%.17g,%%.17g,%%.17g,%.17g\n" % (t, u)
             for nodes, cols in segments:
-                values = zip(nodes, *(c[i].tolist() for c in cols))
-                f.write("".join([row % v for v in values]))
+                values = chain.from_iterable(zip(nodes, *(c[i].tolist() for c in cols)))
+                f.write(row * len(nodes) % tuple(values))
 
 
 def export_norms_csv(record: SimRecord, path):

@@ -158,6 +158,9 @@ def test_operators_must_match_their_tables(net, tables):
     z = np.zeros(129)
     with pytest.raises(DomainError, match="state grid"):
         backstepping_transform(fs(y1, z, z), fs(y2, z, z), t1, t2, net, ops)
+    # the junction rows are stacked, so both tables need one resolution
+    with pytest.raises(DomainError, match="one resolution"):
+        sg.FeedbackOperators(t1, tables(128)[1], net, x1, y2)
 
 
 def test_manufactured_integral_against_fine_quadrature(net, tables):

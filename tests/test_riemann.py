@@ -14,6 +14,9 @@ from stopngo.riemann import (
     boundary_rows,
     coupling_coefficient,
     from_riemann,
+    riemann_arrays,
+    riemann_coefficients,
+    riemann_law,
     scale_w,
     to_riemann,
     unscale_w,
@@ -246,6 +249,26 @@ def test_boundary_rows_are_jacobian_of_plant_algebra(net, gamma_net, which):
                 assert abs(got) <= 1e-6
             else:
                 assert abs(got - exp) <= 1e-6 * abs(exp), (name, got, exp)
+
+
+@pytest.mark.parametrize("which", ["default", "gamma"])
+@pytest.mark.parametrize("spread", [1, 65])
+def test_stacked_riemann_law_matches_the_map_row_by_row(net, gamma_net, which, spread, rng):
+    # the stepper maps both segments at once with the parameters as (2, 1)
+    # columns or full rows; each row must be the per-segment riemann_arrays,
+    # bit for bit
+    if which == "gamma":
+        net = gamma_net
+    pairs = ((net.ss1, net.seg1), (net.ss2, net.seg2))
+    rho = np.stack([ss.rho_star * (1.0 + 0.1 * rng.standard_normal(65)) for ss, _ in pairs])
+    v = np.stack([ss.v_star * (1.0 + 0.1 * rng.standard_normal(65)) for ss, _ in pairs])
+    params = [np.array([[a] * spread, [b] * spread])
+              for a, b in zip(*(riemann_coefficients(*p) for p in pairs))]
+    wt, vt = riemann_law(rho * v, v, *params)
+    for i, (ss, params) in enumerate(pairs):
+        want_w, want_v = riemann_arrays(rho[i], v[i], ss, params)
+        assert np.array_equal(wt[i], want_w)
+        assert np.array_equal(vt[i], want_v)
 
 
 def test_identical_segments_drop_junction_coupling(net):

@@ -8,8 +8,11 @@ import stopngo as sg
 from stopngo.control import trap_weights
 from stopngo.errors import DomainError, SimulationError
 from stopngo.model import equilibrium_velocity, pressure
-from stopngo.riemann import PHYSICAL, coupling_coefficient
+from stopngo.riemann import PHYSICAL, coupling_coefficient, riemann_arrays
 from stopngo.sim import (
+    RHO_FLOOR,
+    export_norms_csv,
+    export_states_csv,
     initial_condition,
     norms_and_rate,
     run_linear,
@@ -266,6 +269,74 @@ def test_regime_exit_names_segment_2(net, window, monkeypatch):
         run_nonlinear(cfg, net)
 
 
+def test_nan_density_is_caught_by_the_finiteness_check(net, window, monkeypatch):
+    # a NaN fails every min/any comparison, so the range and regime checks
+    # let it through; the finiteness check after the first step stops it
+    def poisoned(ic, net, N):
+        p1, p2 = initial_condition(ic, net, N)
+        rho = p1.a.copy()
+        rho[N // 2] = np.nan
+        return dataclasses.replace(p1, a=rho), p2
+
+    monkeypatch.setattr(sg.sim, "initial_condition", poisoned)
+    cfg = sg.SimConfig(
+        t_final=window, N=64, loop_mode="open", model="nonlinear",
+        ic=sg.ICSpec(eps=0.02), record_every=8,
+    )
+    with pytest.raises(SimulationError, match="non-finite state at step 1,"):
+        run_nonlinear(cfg, net)
+
+
+def test_density_at_the_floor_leaves_the_congested_regime(net, window, monkeypatch):
+    def thinned(ic, net, N):
+        p1, p2 = initial_condition(ic, net, N)
+        rho = p1.a.copy()
+        rho[N // 3] = RHO_FLOOR
+        return dataclasses.replace(p1, a=rho), p2
+
+    monkeypatch.setattr(sg.sim, "initial_condition", thinned)
+    cfg = sg.SimConfig(
+        t_final=window, N=64, loop_mode="open", model="nonlinear",
+        ic=sg.ICSpec(eps=0.02), record_every=8,
+    )
+    with pytest.raises(
+        SimulationError, match="state left the congested regime in segment 1 at step 0,"
+    ):
+        run_nonlinear(cfg, net)
+
+
+def test_records_do_not_alias_the_work_buffers(net, tables, window):
+    # the stepper overwrites its state and work arrays in place every step;
+    # the first record must still hold the initial condition after the run
+    cfg = sg.SimConfig(
+        t_final=0.05 * window, N=64, loop_mode="closed", model="nonlinear",
+        ic=sg.ICSpec(eps=0.05, phase1=0.4), record_every=1,
+    )
+    rec = run_nonlinear(cfg, net, tables(64))
+    p1, p2 = initial_condition(cfg.ic, net, cfg.N)
+    assert rec.n_steps > 10
+    assert np.array_equal(rec.rho1[0], p1.a)
+    assert np.array_equal(rec.v1[0], p1.b)
+    assert np.array_equal(rec.rho2[0], p2.a)
+    assert np.array_equal(rec.v2[0], p2.b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_loop_run_and_export_print_nothing(net, tables, window, tmp_path, capfd):
+    # the benchmark reads a JSON result from the last line of its output, so
+    # stepping and exporting must write nothing to stdout or stderr; pytest
+    # captures warnings apart from capfd, so they are made errors here
+    cfg = sg.SimConfig(
+        t_final=0.05 * window, N=64, loop_mode="closed", model="nonlinear",
+        ic=sg.ICSpec(eps=0.05), record_every=8,
+    )
+    rec = run_nonlinear(cfg, net, tables(64))
+    export_states_csv(rec, tmp_path / "states.csv")
+    export_norms_csv(rec, tmp_path / "norms.csv")
+    out, err = capfd.readouterr()
+    assert out == "" and err == ""
+
+
 def test_determinism(net):
     cfg = sg.SimConfig(
         t_final=60.0, N=64, loop_mode="open", model="nonlinear",
@@ -478,7 +549,8 @@ def _per_segment_reference(cfg, net, tables=None):
              for vv, pp, s in zip(v, p, (seg1, seg2))]
         dt = min(cfg.cfl * (0.5 * h) / max(float(a[0].max()), float(a[1].max())),
                  cfg.t_final - t)
-        u0 = ops.u0_physical(rho[0], v[0], rho[1], v[1]) if ops else 0.0
+        u0 = ops.u0(*riemann_arrays(rho[0], v[0], net.ss1, seg1),
+                    *riemann_arrays(rho[1], v[1], net.ss2, seg2)) if ops else 0.0
         (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = sg.sim.boundary_fluxes(
             rho[0], v[0], rho[1], v[1], u0, net)
         ends = (((q1J, q1J * w1J), (q_out, q_out * w_out)),
