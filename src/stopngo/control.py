@@ -9,7 +9,8 @@ import numpy as np
 from .errors import DomainError, RepresentationError
 from .kernels import KernelTable
 from .model import NetworkParams
-from .riemann import RIEMANN, FieldState, boundary_rows, riemann_coefficients, riemann_law, scale_w
+from .riemann import RIEMANN, FieldState, boundary_rows, riemann_coefficients, riemann_law
+from .riemann import scale_factor
 
 
 @dataclass
@@ -47,8 +48,8 @@ class FeedbackOperators:
     The tables act on (w-tilde_i, v-tilde_i). Holds the junction kernel rows
     stacked one row per segment, their trapezoid weights, g_t and g_control,
     the Riemann-map parameters spread over the same rows, the state grids (checked
-    against the table grids here, once) and, on first use, the four
-    trapezoid-weighted triangular matrices of the transform.
+    against the table grids here, once), scale_w's factors exp(x/(tau v*)) on
+    them and, on first use, the four trapezoid-weighted triangular matrices.
     """
 
     def __init__(
@@ -70,6 +71,8 @@ class FeedbackOperators:
         self.g_t, self.g_control = rows.g_t, rows.g_control
         self.trap1 = trap_weights(table1.M + 1, table1.h)
         self.trap2 = trap_weights(table2.M + 1, table2.h)
+        self.scale1 = scale_factor(grid1, net.ss1, net.seg1)
+        self.scale2 = scale_factor(grid2, net.ss2, net.seg2)
         # junction rows: x = 0 is node 0 of segment 1 and node M of segment 2
         self.kw = np.stack((table1.Kvw[0], table2.Kvw[table2.M]))
         self.kv = np.stack((table1.Kvv[0], table2.Kvv[table2.M]))
@@ -106,11 +109,10 @@ class FeedbackOperators:
     def target(self, riem1: FieldState, riem2: FieldState) -> TargetState:
         """beta_i from the Riemann states; alpha_i is w-bar_i, their rescaled w."""
         A1w, A1v, A2w, A2v = self.volterra
-        net = self.net
         w1, v1, w2, v2 = riem1.a, riem1.b, riem2.a, riem2.b
         return TargetState(self.grid1.copy(), self.grid2.copy(),
-                           scale_w(riem1, net.ss1, net.seg1).a, v1 - (A1w @ w1 + A1v @ v1),
-                           scale_w(riem2, net.ss2, net.seg2).a, v2 - (A2w @ w2 + A2v @ v2))
+                           self.scale1 * w1, v1 - (A1w @ w1 + A1v @ v1),
+                           self.scale2 * w2, v2 - (A2w @ w2 + A2v @ v2))
 
 
 def _operators(riem1, riem2, table1, table2, net, ops=None) -> FeedbackOperators:
@@ -122,6 +124,8 @@ def _operators(riem1, riem2, table1, table2, net, ops=None) -> FeedbackOperators
     if ops.table1 is not table1 or ops.table2 is not table2 or ops.net is not net:
         raise DomainError("operators were built for other tables or another network")
     for state, grid in ((riem1, ops.grid1), (riem2, ops.grid2)):
+        if state.grid is grid:  # the runners pass the grids they built ops on
+            continue
         if state.grid.shape != grid.shape or not np.allclose(state.grid, grid):
             raise DomainError("state grid does not match the kernel table grid")
     return ops

@@ -96,9 +96,10 @@ def pressure_law(rho, coeff, gamma):
     """c * rho^gamma without the range guard. The parameters broadcast, so
     (n, 1) columns of c and gamma evaluate n stacked segments in one call.
 
-    On arrays, a scalar gamma of exactly 0.5 or 2 takes numpy's sqrt or
-    square path, which may differ in the last bit from the general power
-    that a column takes; every other exponent gives the same bits either way.
+    At gamma exactly 0.5 or 2, numpy's sqrt or square path may differ in the
+    last bit from its general power. A scalar gamma takes that path; so does
+    an (n, 1) column on one row, or on rows longer than 4096 nodes (numpy
+    2.4.6); a full row of gamma never does. Other exponents agree on any shape.
     """
     return coeff * rho**gamma
 

@@ -20,15 +20,16 @@ from .kernels import KernelTable
 from .model import NetworkParams, equilibrium_velocity, inverse_pressure, pressure, pressure_law
 from .riemann import (
     PHYSICAL,
+    RIEMANN,
     SCALED,
     FieldState,
     boundary_rows,
     coupling_coefficient,
     physical_arrays,
+    riemann_arrays,
     scale_factor,
     scale_w,
     to_riemann,
-    unscale_w,
 )
 
 RHO_FLOOR = 1e-6
@@ -138,59 +139,63 @@ def initial_condition(ic: ICSpec, net: NetworkParams, N: int):
     return out[0], out[1]
 
 
-def _l2(grid, a, b) -> float:
-    return float(np.sqrt(np.trapezoid(a * a + b * b, grid)))
-
-
-_STATE_KEYS = ("rho1", "v1", "rho2", "v2", "wbar1", "vtil1", "wbar2", "vtil2")
-
-
 class _Recorder:
-    def __init__(self, net, x1, x2, tables, ops):
-        self.net = net
-        self.x1, self.x2 = x1, x2
-        self.tables, self.ops = tables, ops
-        keys = _STATE_KEYS + ("times", "u0", "norm1", "norm2", "linf1", "linf2")
-        self.cols = {k: [] for k in keys}
-        self.target = [] if tables is not None else None
+    """Keeps t, U0 and one copy of the stepper's rows per record: (rho, v) per
+    segment when ``rep`` is PHYSICAL, (w-bar, v-tilde) when SCALED. ``finish``
+    stacks them into one (K, 2, 2, N+1) batch and derives the other
+    representations, the norms and the target states from it once per run.
+    """
 
-    def push(self, t, u0, phys1, phys2, riem1, riem2, scaled1, scaled2):
-        net, cols = self.net, self.cols
-        for k, arr in zip(_STATE_KEYS, (phys1.a, phys1.b, phys2.a, phys2.b,
-                                        scaled1.a, scaled1.b, scaled2.a, scaled2.b)):
-            cols[k].append(arr.copy())
-        cols["times"].append(t)
-        cols["u0"].append(u0)
-        cols["norm1"].append(_l2(self.x1, scaled1.a, scaled1.b))
-        cols["norm2"].append(_l2(self.x2, scaled2.a, scaled2.b))
-        for k, phys, ss in (("linf1", phys1, net.ss1), ("linf2", phys2, net.ss2)):
-            cols[k].append(max(
-                float(np.max(np.abs(phys.a - ss.rho_star))) / ss.rho_star,
-                float(np.max(np.abs(phys.b - ss.v_star))) / ss.v_star,
-            ))
-        if self.target is not None:
-            self.target.append(
-                backstepping_transform(riem1, riem2, *self.tables, net, self.ops)
-            )
+    def __init__(self, net, x1, x2, rep, tables, ops):
+        self.net, self.rep, self.x1, self.x2 = net, rep, x1, x2
+        self.tables, self.ops = tables, ops
+        self.times, self.u0, self.states = [], [], []
+
+    def push(self, t, u0, state):
+        self.times.append(t)
+        self.u0.append(u0)
+        self.states.append(state)
 
     def finish(self, window, n_steps, **extra) -> SimRecord:
-        return SimRecord(
-            grid1=self.x1,
-            grid2=self.x2,
-            window=window,
-            n_steps=n_steps,
-            target=self.target,
-            **{k: np.asarray(v) for k, v in self.cols.items()},
-            **extra,
-        )
-
-
-def _affine_physical(riem: FieldState, ss, params) -> FieldState:
-    # Diagnostic reconstruction for linear snapshots. The linearized state is
-    # free to leave the box (0, rho_max) x (0, v_max) transiently, so this
-    # applies the affine inverse without the range guard of from_riemann.
-    rho, v = physical_arrays(riem.a, riem.b, ss, params)
-    return FieldState(riem.grid.copy(), rho, v, PHYSICAL)
+        net = self.net
+        batch = np.stack(self.states).reshape(len(self.states), 2, 2, -1)
+        self.states = None  # the batch is the only copy from here on
+        fields, riem = {}, []
+        # (K, N+1) blocks with scalar parameters: each record gets the bits
+        # that deriving it on its own would give
+        segments = ((self.x1, net.ss1, net.seg1), (self.x2, net.ss2, net.seg2))
+        for i, (x, ss, params) in enumerate(segments):
+            a, b = batch[:, i, 0], batch[:, i, 1]
+            if self.rep == PHYSICAL:
+                rho, v = a, b
+                wt, vt = riemann_arrays(rho, v, ss, params)
+                wbar = scale_factor(x, ss, params) * wt
+            else:
+                wbar, vt = a, b
+                wt = scale_factor(-x, ss, params) * wbar  # exp(-x/(tau v*)) w-bar
+                # no range guard: the linearized state may leave the physical box
+                rho, v = physical_arrays(wt, vt, ss, params)
+            riem.append((x, wt, vt))
+            n = str(i + 1)
+            fields["rho" + n], fields["v" + n] = rho, v
+            fields["wbar" + n], fields["vtil" + n] = wbar, vt
+            fields["norm" + n] = np.sqrt(np.trapezoid(wbar * wbar + vt * vt, x))
+            fields["linf" + n] = np.maximum(
+                np.abs(rho - ss.rho_star).max(axis=-1) / ss.rho_star,
+                np.abs(v - ss.v_star).max(axis=-1) / ss.v_star,
+            )
+        target = None
+        if self.tables is not None:
+            (x1, wt1, vt1), (x2, wt2, vt2) = riem
+            target = [
+                backstepping_transform(FieldState(x1, wt1[k], vt1[k], RIEMANN),
+                                       FieldState(x2, wt2[k], vt2[k], RIEMANN),
+                                       *self.tables, net, self.ops)
+                for k in range(len(batch))
+            ]
+        return SimRecord(times=np.asarray(self.times), grid1=self.x1, grid2=self.x2,
+                         u0=np.asarray(self.u0), window=window, n_steps=n_steps,
+                         target=target, **fields, **extra)
 
 
 def _table_operators(tables, net, x1, x2) -> FeedbackOperators | None:
@@ -252,16 +257,10 @@ def run_linear(
     else:
         trace_t = None
 
-    rec = _Recorder(net, x1, x2, tables, ops)
+    rec = _Recorder(net, x1, x2, SCALED, tables, ops)
 
     def snapshot(t, u0):
-        sc1 = FieldState(x1, w1, v1, SCALED)
-        sc2 = FieldState(x2, w2, v2, SCALED)
-        ri1 = unscale_w(sc1, ss1, seg1)
-        ri2 = unscale_w(sc2, ss2, seg2)
-        p1 = _affine_physical(ri1, ss1, seg1)
-        p2 = _affine_physical(ri2, ss2, seg2)
-        rec.push(t, u0, p1, p2, ri1, ri2, sc1, sc2)
+        rec.push(t, u0, np.concatenate((w1, v1, w2, v2)))
 
     snapshot(0.0, 0.0)
     t, step, u0 = 0.0, 0, 0.0
@@ -441,16 +440,12 @@ def run_nonlinear(
     width = np.tile(wc, 4)
     rel, gap = np.empty_like(V), np.empty_like(V)
 
-    rec = _Recorder(net, x1, x2, tables, ops)
+    rec = _Recorder(net, x1, x2, PHYSICAL, tables, ops)
     mass = float(wc @ R[0] + wc @ R[1])
     mass_err = 0.0
 
     def record(t, u0):
-        ph1 = FieldState(x1, R[0], V[0], PHYSICAL)
-        ph2 = FieldState(x2, R[1], V[1], PHYSICAL)
-        ri1 = to_riemann(ph1, ss1, seg1)
-        ri2 = to_riemann(ph2, ss2, seg2)
-        rec.push(t, u0, ph1, ph2, ri1, ri2, scale_w(ri1, ss1, seg1), scale_w(ri2, ss2, seg2))
+        rec.push(t, u0, np.concatenate((R, V), axis=1))  # a row per segment: rho, v
 
     record(0.0, 0.0)
 

@@ -2,13 +2,25 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import stopngo as sg
-from stopngo.control import trap_weights
+from stopngo.control import backstepping_transform, trap_weights
 from stopngo.errors import DomainError, SimulationError
 from stopngo.model import equilibrium_velocity, pressure
-from stopngo.riemann import PHYSICAL, coupling_coefficient, riemann_arrays
+from stopngo.riemann import (
+    PHYSICAL,
+    SCALED,
+    FieldState,
+    coupling_coefficient,
+    physical_arrays,
+    riemann_arrays,
+    scale_w,
+    to_riemann,
+    unscale_w,
+)
 from stopngo.sim import (
     RHO_FLOOR,
     export_norms_csv,
@@ -592,3 +604,87 @@ def test_stacked_stepper_matches_per_segment_reference(net, gamma_net, which, lo
         assert got.shape == want.shape
         assert np.array_equal(got, want)
     assert rec.mass_err == mass_err
+
+
+def _per_record_reference(rec, net, tables, rep):
+    """Every derived field and target state of ``rec``, built one record at a
+    time from the rows the stepper holds: to_riemann and scale_w from
+    (rho, v), or unscale_w and the affine inverse from (w-bar, v-tilde); each
+    record's trapezoid norm and L-infinity deviation; one transform per
+    record, on copies of the grids so that the operators compare them."""
+    grids = (rec.grid1.copy(), rec.grid2.copy())
+    ops = sg.FeedbackOperators(*tables, net, *grids) if tables else None
+    cols, targets = {}, []
+    for k in range(len(rec.times)):
+        riem = []
+        for i, (x, ss, seg) in enumerate(zip(grids, (net.ss1, net.ss2), (net.seg1, net.seg2))):
+            n = str(i + 1)
+            if rep == PHYSICAL:
+                phys = FieldState(x, getattr(rec, "rho" + n)[k], getattr(rec, "v" + n)[k], PHYSICAL)
+                ri = to_riemann(phys, ss, seg)
+                sc = scale_w(ri, ss, seg)
+            else:
+                sc = FieldState(x, getattr(rec, "wbar" + n)[k], getattr(rec, "vtil" + n)[k], SCALED)
+                ri = unscale_w(sc, ss, seg)
+                phys = FieldState(x, *physical_arrays(ri.a, ri.b, ss, seg), PHYSICAL)
+            riem.append(ri)
+            row = {
+                "rho": phys.a, "v": phys.b, "wbar": sc.a, "vtil": sc.b,
+                "norm": float(np.sqrt(np.trapezoid(sc.a * sc.a + sc.b * sc.b, x))),
+                "linf": max(float(np.max(np.abs(phys.a - ss.rho_star))) / ss.rho_star,
+                            float(np.max(np.abs(phys.b - ss.v_star))) / ss.v_star),
+            }
+            for key, value in row.items():
+                cols.setdefault(key + n, []).append(value)
+        if ops is not None:
+            targets.append(backstepping_transform(*riem, *tables, net, ops))
+    return {k: np.array(v) for k, v in cols.items()}, targets if ops is not None else None
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("loop", ["open", "closed"])
+@pytest.mark.parametrize("model", ["nonlinear", "linear"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    eps=st.floats(0.0, 0.05),
+    k1=st.integers(1, 3),
+    k2=st.integers(1, 3),
+    phase1=st.floats(0.0, 2.0 * np.pi),
+    phase2=st.floats(0.0, 2.0 * np.pi),
+)
+def test_batched_record_matches_per_record_derivation(
+    net, tables, model, loop, record_every, eps, k1, k2, phase1, phase2
+):
+    # the recorder keeps the stepper's rows and derives the rest once per
+    # run; every field and target state must carry the per-record bits
+    ic = sg.ICSpec(eps=eps, k1=k1, k2=k2, phase1=phase1, phase2=phase2)
+    cfg = sg.SimConfig(t_final=40.0, N=32, loop_mode=loop, model=model, ic=ic,
+                       record_every=record_every)
+    tb = tables(32) if loop == "closed" else None
+    rec = (run_nonlinear if model == "nonlinear" else run_linear)(cfg, net, tb)
+    # the last record closes a partial stride
+    assume(record_every == 1 or rec.n_steps % record_every)
+    assert len(rec.times) == rec.n_steps // record_every + 1 + (record_every > 1)
+    assert rec.times[-1] == cfg.t_final
+    fields, targets = _per_record_reference(
+        rec, net, tb, PHYSICAL if model == "nonlinear" else SCALED
+    )
+    assert len(fields) == 12
+    for key, want in fields.items():
+        got = getattr(rec, key)
+        assert got.shape == want.shape and got.dtype == want.dtype, key
+        assert np.array_equal(got, want), key
+    assert (rec.target is None) == (targets is None)
+    for got, want in zip(rec.target or (), targets or (), strict=True):
+        for key, value in vars(want).items():
+            assert np.array_equal(getattr(got, key), value), key
+    # the first record still holds the initial condition: no record aliases
+    # a stepper buffer
+    p1, p2 = initial_condition(ic, net, cfg.N)
+    if model == "nonlinear":
+        assert np.array_equal(rec.rho1[0], p1.a) and np.array_equal(rec.rho2[0], p2.a)
+        assert np.array_equal(rec.v1[0], p1.b) and np.array_equal(rec.v2[0], p2.b)
+    else:
+        for got, phys, ss, seg in ((rec.wbar1[0], p1, net.ss1, net.seg1),
+                                   (rec.wbar2[0], p2, net.ss2, net.seg2)):
+            assert np.array_equal(got, scale_w(to_riemann(phys, ss, seg), ss, seg).a)
