@@ -107,10 +107,11 @@ class FeedbackOperators:
         return float((i2 - self.g_t * i1) / self.g_control)
 
     def target(self, riem1: FieldState, riem2: FieldState) -> TargetState:
-        """beta_i from the Riemann states; alpha_i is w-bar_i, their rescaled w."""
+        """beta_i from the Riemann states; alpha_i is w-bar_i, their rescaled w.
+        The target state holds the operators' own grid arrays, not copies."""
         A1w, A1v, A2w, A2v = self.volterra
         w1, v1, w2, v2 = riem1.a, riem1.b, riem2.a, riem2.b
-        return TargetState(self.grid1.copy(), self.grid2.copy(),
+        return TargetState(self.grid1, self.grid2,
                            self.scale1 * w1, v1 - (A1w @ w1 + A1v @ v1),
                            self.scale2 * w2, v2 - (A2w @ w2 + A2v @ v2))
 
@@ -174,37 +175,30 @@ def target_residual(record, net: NetworkParams) -> float:
     boundary relations, evaluated across consecutive recorded states.
     """
     targets = record.target
-    times = record.times
     if targets is None or len(targets) < 3:
         raise DomainError("need at least 3 recorded target states")
     rows = boundary_rows(net)
-    lam_w1, lam_v1 = net.ss1.lambda_w, net.ss1.lambda_v
-    lam_w2, lam_v2 = net.ss2.lambda_w, net.ss2.lambda_v
     h1 = targets[0].grid1[1] - targets[0].grid1[0]
     h2 = targets[0].grid2[1] - targets[0].grid2[0]
-    res = 0.0
-    for n in range(len(targets) - 1):
-        dt = times[n + 1] - times[n]
-        a, b = targets[n], targets[n + 1]
-        ra1 = (b.alpha1[1:] - a.alpha1[1:]) / dt + lam_w1 * (a.alpha1[1:] - a.alpha1[:-1]) / h1
-        ra2 = (b.alpha2[1:] - a.alpha2[1:]) / dt + lam_w2 * (a.alpha2[1:] - a.alpha2[:-1]) / h2
-        rb1 = (b.beta1[:-1] - a.beta1[:-1]) / dt - lam_v1 * (a.beta1[1:] - a.beta1[:-1]) / h1
-        rb2 = (b.beta2[:-1] - a.beta2[:-1]) / dt - lam_v2 * (a.beta2[1:] - a.beta2[:-1]) / h2
-        res = max(
-            res,
-            float(np.max(np.abs(ra1))),
-            float(np.max(np.abs(ra2))),
-            float(np.max(np.abs(rb1))),
-            float(np.max(np.abs(rb2))),
-        )
+    # (K, N+1) blocks, one row per record, and dt as a (K-1, 1) column: the
+    # arithmetic of one pair of records at a time, and exact maxima
+    a1, b1, a2, b2 = (np.stack([getattr(st, k) for st in targets])
+                      for k in ("alpha1", "beta1", "alpha2", "beta2"))
+    dt = np.diff(record.times)[:, None]
+    now, nxt = slice(None, -1), slice(1, None)
+    ra1 = (a1[nxt, 1:] - a1[now, 1:]) / dt + net.ss1.lambda_w * (a1[now, 1:] - a1[now, :-1]) / h1
+    ra2 = (a2[nxt, 1:] - a2[now, 1:]) / dt + net.ss2.lambda_w * (a2[now, 1:] - a2[now, :-1]) / h2
+    rb1 = (b1[nxt, :-1] - b1[now, :-1]) / dt - net.ss1.lambda_v * (b1[now, 1:] - b1[now, :-1]) / h1
+    rb2 = (b2[nxt, :-1] - b2[now, :-1]) / dt - net.ss2.lambda_v * (b2[now, 1:] - b2[now, :-1]) / h2
+    res = max(float(np.abs(r).max()) for r in (ra1, ra2, rb1, rb2))
     # boundary relations constrain the evolution, not the initial datum, so
-    # the t = 0 sample is exempt (sinusoid initial data are not compatible)
-    for st in targets[1:]:
-        res = max(
-            res,
-            abs(st.beta1[-1] - rows.g_outlet * st.alpha1[-1]),
-            abs(st.alpha1[0] - st.alpha2[-1]),
-            abs(st.alpha2[0] - rows.g_inlet * st.beta2[0]),
-            abs(st.beta2[-1] - rows.g_t * st.beta1[0] - rows.g_a * st.alpha2[-1]),
-        )
-    return res
+    # the t = 0 sample is exempt (sinusoid initial data are not compatible).
+    # Their maximum, a numpy scalar, is returned only when strictly larger
+    # than the transport defect, which is a float
+    bound = np.stack((
+        b1[1:, -1] - rows.g_outlet * a1[1:, -1],
+        a1[1:, 0] - a2[1:, -1],
+        a2[1:, 0] - rows.g_inlet * b2[1:, 0],
+        b2[1:, -1] - rows.g_t * b1[1:, 0] - rows.g_a * a2[1:, -1],
+    ))
+    return max(res, np.abs(bound).max())

@@ -7,6 +7,7 @@ the junction is the shared node x = 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -17,7 +18,7 @@ from .control import FeedbackOperators, TargetState, backstepping_transform, con
 from .control import trap_weights
 from .errors import DomainError, SimulationError
 from .kernels import KernelTable
-from .model import NetworkParams, equilibrium_velocity, inverse_pressure, pressure, pressure_law
+from .model import NetworkParams, equilibrium_velocity, pressure, pressure_law
 from .riemann import (
     PHYSICAL,
     RIEMANN,
@@ -221,31 +222,45 @@ def run_linear(
     each step, so the target-system junction relation holds exactly. The
     kernel tables act on w-tilde = exp(-x/(tau v*)) w-bar, so that factor is
     folded into the junction rows once and applied to the recorded states.
+
+    The state is one flat array w-bar_1 | w-bar_2 | v-tilde_1 | v-tilde_2 in
+    two buffers that swap each step. One forward difference over it serves
+    all four rows, with per-node coefficient rows built once per step length;
+    the boundary rows then overwrite the nodes where a difference spans two
+    rows, and one finiteness check covers the whole state.
     """
     closed = cfg.loop_mode == "closed"
     if closed and tables is None:
         raise DomainError("closed-loop linear run requires kernel tables")
-    ss1, ss2 = net.ss1, net.ss2
-    seg1, seg2 = net.seg1, net.seg2
+    ss1, ss2, seg1, seg2 = net.ss1, net.ss2, net.seg1, net.seg2
     N = cfg.N
+    M = N + 1  # nodes per row; node j of row r sits at r M + j
     L = seg1.length
     h = L / N
-    x1 = np.linspace(0.0, L, N + 1)
-    x2 = np.linspace(-L, 0.0, N + 1)
+    x1, x2 = np.linspace(0.0, L, M), np.linspace(-L, 0.0, M)
     ops = _table_operators(tables, net, x1, x2)
 
     phys1, phys2 = initial_condition(cfg.ic, net, N)
     s1 = scale_w(to_riemann(phys1, ss1, seg1), ss1, seg1)
     s2 = scale_w(to_riemann(phys2, ss2, seg2), ss2, seg2)
-    w1, v1 = s1.a.copy(), s1.b.copy()
-    w2, v2 = s2.a.copy(), s2.b.copy()
-
-    c1 = coupling_coefficient(x1, ss1, seg1)
-    c2 = coupling_coefficient(x2, ss2, seg2)
+    S, S_next = np.concatenate((s1.a, s2.a, s1.b, s2.b)), np.empty(4 * M)
+    last = 4 * M - 1  # v-tilde_2(0), the junction trace
+    D = np.empty(last)  # forward differences, then the products of a step
+    Dw, Dv = D[: 2 * M - 1], D[2 * M :]
+    # entry i of a coefficient row serves node 1 + i of the w-bar block and
+    # node i of the v-tilde block: the transport speeds, then c_i(x)
+    speeds = np.repeat([[ss1.lambda_w, ss2.lambda_w], [ss1.lambda_v, ss2.lambda_v]],
+                       (M - 1, M), axis=1)
+    c = np.concatenate((coupling_coefficient(x1, ss1, seg1),
+                        coupling_coefficient(x2, ss2, seg2)[:-1]))
     rows = boundary_rows(net)
-    speeds = (ss1.lambda_w, ss1.lambda_v, ss2.lambda_w, ss2.lambda_v)
-    dt0 = cfg.cfl * h / max(speeds)
+    dt0 = cfg.cfl * h / max(ss1.lambda_w, ss1.lambda_v, ss2.lambda_w, ss2.lambda_v)
 
+    def views(buf):  # the slices of a buffer that a step uses, taken once
+        return (buf, buf[1:], buf[:-1], buf[1 : 2 * M], buf[2 * M : last], buf[: 2 * M - 1],
+                (buf[:M], buf[2 * M : 3 * M], buf[M : 2 * M], buf[3 * M :]))
+
+    cur, nxt = views(S), views(S_next)
     if ops is not None:
         A1w, A1v, A2w, A2v = ops.volterra
         # scale_factor of -x is exp(-x/(tau v*)), the map from w-bar to w-tilde
@@ -259,56 +274,57 @@ def run_linear(
 
     rec = _Recorder(net, x1, x2, SCALED, tables, ops)
 
-    def snapshot(t, u0):
-        rec.push(t, u0, np.concatenate((w1, v1, w2, v2)))
+    def snapshot(t, u0):  # the recorder takes (w-bar, v-tilde) per segment
+        rec.push(t, u0, S.reshape(2, 2, M).swapaxes(0, 1).copy())
 
     snapshot(0.0, 0.0)
-    t, step, u0 = 0.0, 0, 0.0
+    t, step, u0, dt_coef = 0.0, 0, 0.0, None
     while t < cfg.t_final - 1e-9 * dt0:
         dt = min(dt0, cfg.t_final - t)
-        nw1, nv1 = ss1.lambda_w * dt / h, ss1.lambda_v * dt / h
-        nw2, nv2 = ss2.lambda_w * dt / h, ss2.lambda_v * dt / h
-        neww1, newv1 = w1.copy(), v1.copy()
-        neww2, newv2 = w2.copy(), v2.copy()
-        neww1[1:] = w1[1:] - nw1 * (w1[1:] - w1[:-1])
-        newv1[:-1] = v1[:-1] + nv1 * (v1[1:] - v1[:-1]) + dt * c1[:-1] * w1[:-1]
-        neww2[1:] = w2[1:] - nw2 * (w2[1:] - w2[:-1])
-        newv2[:-1] = v2[:-1] + nv2 * (v2[1:] - v2[:-1]) + dt * c2[:-1] * w2[:-1]
+        if dt != dt_coef:  # the first step, and a shorter last one
+            (NW, NV), DTC, dt_coef = speeds * dt / h, dt * c, dt
+        # w-bar: S[1:2M] - NW D[:2M-1]; v-tilde: (S + NV D) + DTC w-bar on
+        # [2M:4M-1], the evaluation order of one row at a time
+        S, S_tail, S_head, S_w1, S_v, S_w, _ = cur
+        S_next, _, _, N_w1, N_v, _, (w1, v1, w2, v2) = nxt
+        np.subtract(S_tail, S_head, out=D)
+        Dw *= NW
+        np.subtract(S_w1, Dw, out=N_w1)
+        Dv *= NV
+        np.add(S_v, Dv, out=N_v)
+        np.multiply(DTC, S_w, out=Dw)
+        N_v += Dw
 
-        newv1[-1] = rows.g_outlet * neww1[-1]
-        neww2[0] = rows.g_inlet * newv2[0]
-        neww1[0] = rows.g_junction_w * neww2[-1]
-        rhs0 = rows.g_t * newv1[0] + rows.g_a * neww2[-1]
+        S_next[3 * M - 1] = rows.g_outlet * S_next.item(M - 1)
+        S_next[M] = rows.g_inlet * S_next.item(3 * M)
+        S_next[0] = rows.g_junction_w * S_next.item(2 * M - 1)
+        rhs0 = rows.g_t * S_next.item(2 * M) + rows.g_a * S_next.item(2 * M - 1)
         if closed:
-            i1 = float(k1w0 @ neww1 + k1v0 @ newv1)
-            i2p = float(k2wN @ neww2 + k2vN @ newv2) - k2vN[N] * newv2[-1]
-            newv2[-1] = (rhs0 + i2p - rows.g_t * i1) / denom
-            i2 = i2p + k2vN[N] * newv2[-1]
-            u0 = (newv2[-1] - rhs0) / rows.g_control
+            # the quadrature sees the old v-tilde_2(0), whose term is taken out
+            S_next[last] = v2_old = S.item(last)
+            i1 = float(k1w0 @ w1 + k1v0 @ v1)
+            i2p = float(k2wN @ w2 + k2vN @ v2) - k2vN[N] * v2_old
+            S_next[last] = (rhs0 + i2p - rows.g_t * i1) / denom
+            i2 = i2p + k2vN[N] * S_next[last]
+            u0 = (S_next[last] - rhs0) / rows.g_control
         else:
-            newv2[-1] = rhs0
+            S_next[last] = rhs0
             u0 = 0.0
-        w1, v1, w2, v2 = neww1, newv1, neww2, newv2
+        cur, nxt, S = nxt, cur, S_next
         t += dt
         step += 1
-        if not (
-            np.isfinite(w1).all()
-            and np.isfinite(v1).all()
-            and np.isfinite(w2).all()
-            and np.isfinite(v2).all()
-        ):
+        if not np.isfinite(S).all():
             raise SimulationError(f"non-finite state at step {step}, t = {t:.3f} s")
         if trace_t is not None:
             if not closed:
                 i2 = float(k2wN @ w2 + k2vN @ v2)
             trace_t.append(t)
-            trace_b2.append(v2[-1] - i2)
+            trace_b2.append(S[last] - i2)
         if step % cfg.record_every == 0 or t >= cfg.t_final - 1e-9 * dt0:
             snapshot(t, u0)
 
-    extra = {}
-    if trace_t is not None:
-        extra = dict(trace_times=np.asarray(trace_t), trace_beta2=np.asarray(trace_b2))
+    extra = {} if trace_t is None else dict(trace_times=np.asarray(trace_t),
+                                            trace_beta2=np.asarray(trace_b2))
     return rec.finish(ss1.kappa + ss2.kappa, step, **extra)
 
 
@@ -323,31 +339,48 @@ def boundary_fluxes(rho1, v1, rho2, v2, u0: float, net: NetworkParams, step: int
     q* on the incoming characteristic and extrapolate the outgoing invariant
     at zeroth order. ``riemann.boundary_rows`` is the Jacobian of this map.
     """
-    seg1, seg2 = net.seg1, net.seg2
-    q_star = net.ss1.q_star
-    w2t = v2[-1] + pressure(rho2[-1], seg2)
-    v1t = v1[0]
-    if w2t - v1t <= 0.0:
-        raise SimulationError(f"junction pressure collapsed at step {step}")
-    rho1J = inverse_pressure(w2t - v1t, seg1)
-    if not RHO_FLOOR < rho1J < seg1.rho_max:
-        raise SimulationError(
-            f"junction density {rho1J:.4f} outside (0, rho_max) at step {step}"
-        )
-    q1J = rho1J * v1t
-    q2J = q1J - u0
-    if q2J <= 0.0:
-        raise SimulationError(
-            f"ramp input {u0:.4f} veh/s exceeds the junction flux {q1J:.4f} "
-            f"veh/s at step {step}; feasible U_0 < {q1J:.4f}"
-        )
-    v_in = v2[0]
-    rho_g = q_star / v_in
-    if rho_g >= seg2.rho_max:
-        raise SimulationError(f"inlet ghost density reached rho_max at step {step}")
-    w_g = v_in + pressure(rho_g, seg2)
-    w_out = v1[-1] + pressure(rho1[-1], seg1)
-    return (q1J, w2t), (q_star, w_out), (q_star, w_g), (q2J, w2t)
+    return _boundary_algebra(net)(float(v1[0]), float(rho1[-1]), float(v1[-1]),
+                                  float(v2[0]), float(rho2[-1]), float(v2[-1]), u0, step)
+
+
+def _boundary_algebra(net: NetworkParams):
+    """``boundary_fluxes`` with the parameters read once, on six float traces:
+    v1 at the junction, rho1 and v1 at the outlet, v2 at the inlet, rho2 and
+    v2 at the junction. Pressures take pressure()'s float arithmetic and range
+    guard. inverse_pressure's guard is left out: after the collapse check its
+    argument is positive or NaN, and a NaN passes it."""
+    q_star, v_max, rho_max1, rho_max2 = (net.ss1.q_star, net.seg1.v_max,
+                                         net.seg1.rho_max, net.seg2.rho_max)
+    (c1, g1), (c2, g2) = ((s.pressure_coeff, s.gamma) for s in (net.seg1, net.seg2))
+    inv_g1 = 1.0 / g1
+
+    def p(rho, coeff, gamma, rho_max):
+        if rho < 0 or rho > rho_max:
+            raise DomainError(f"density outside [0, {rho_max}]")
+        return coeff * rho**gamma
+
+    def fluxes(v1t, rho1_out, v1_out, v_in, rho2t, v2t, u0, step):
+        w2t = v2t + p(rho2t, c2, g2, rho_max2)
+        if w2t - v1t <= 0.0:
+            raise SimulationError(f"junction pressure collapsed at step {step}")
+        rho1J = rho_max1 * ((w2t - v1t) / v_max) ** inv_g1
+        if not RHO_FLOOR < rho1J < rho_max1:
+            raise SimulationError(f"junction density {rho1J:.4f} outside (0, rho_max) "
+                                  f"at step {step}")
+        q1J = rho1J * v1t
+        q2J = q1J - u0
+        if q2J <= 0.0:
+            raise SimulationError(f"ramp input {u0:.4f} veh/s exceeds the junction flux "
+                                  f"{q1J:.4f} veh/s at step {step}; feasible U_0 < {q1J:.4f}")
+        # a stopped inlet asks for an infinite ghost density, as q*/0 is in numpy
+        rho_g = q_star / v_in if v_in else math.copysign(math.inf, v_in)
+        if rho_g >= rho_max2:
+            raise SimulationError(f"inlet ghost density reached rho_max at step {step}")
+        w_g = v_in + p(rho_g, c2, g2, rho_max2)
+        w_out = v1_out + p(rho1_out, c1, g1, rho_max1)
+        return (q1J, w2t), (q_star, w_out), (q_star, w_g), (q2J, w2t)
+
+    return fluxes
 
 
 def run_nonlinear(
@@ -440,6 +473,7 @@ def run_nonlinear(
     width = np.tile(wc, 4)
     rel, gap = np.empty_like(V), np.empty_like(V)
 
+    fluxes = _boundary_algebra(net)  # on the traces at flat indices i M + j
     rec = _Recorder(net, x1, x2, PHYSICAL, tables, ops)
     mass = float(wc @ R[0] + wc @ R[1])
     mass_err = 0.0
@@ -473,8 +507,8 @@ def run_nonlinear(
         np.multiply(U, V, out=F)  # (rho v, y v); F[0] is the rho v of the Riemann map
         u0 = ops.u0_stacked(F[0], V) if closed else 0.0
 
-        (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = boundary_fluxes(
-            R[0], V[0], R[1], V[1], u0, net, step
+        (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = fluxes(
+            V.item(0), R.item(N), V.item(N), V.item(M), R.item(M + N), V.item(M + N), u0, step
         )
 
         # Lax-Friedrichs: 0.5 (F_j + F_j+1) - 0.5 am (U_j+1 - U_j), with am

@@ -33,13 +33,7 @@ def window(net):
     return net.ss1.kappa + net.ss2.kappa
 
 
-@pytest.fixture(scope="session")
-def tables(net):
-    """Kernel-table factory with a per-resolution cache.
-
-    Closed-loop runs need the table grid to match the simulation grid, so
-    several modules ask for the same resolutions; solving once is enough.
-    """
+def _table_factory(net):
     cache = {}
 
     def get(M):
@@ -51,6 +45,22 @@ def tables(net):
         return cache[M]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def tables(net):
+    """Kernel-table factory with a per-resolution cache.
+
+    Closed-loop runs need the table grid to match the simulation grid, so
+    several modules ask for the same resolutions; solving once is enough.
+    """
+    return _table_factory(net)
+
+
+@pytest.fixture(scope="session")
+def gamma_tables(gamma_net):
+    """The same factory for ``gamma_net``."""
+    return _table_factory(gamma_net)
 
 
 @pytest.fixture(scope="session")

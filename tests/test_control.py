@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stopngo as sg
 from stopngo.control import backstepping_transform, control_input, target_residual
@@ -9,7 +11,8 @@ from stopngo.errors import DomainError, RepresentationError
 from stopngo.errors import AssumptionError, InfeasibleError
 from stopngo.kernels import solve_kernels
 from stopngo.model import SegmentParams, admissible_flux_interval, make_network
-from stopngo.riemann import PHYSICAL, RIEMANN, SCALED, FieldState, scale_w, to_riemann, unscale_w
+from stopngo.riemann import PHYSICAL, RIEMANN, SCALED, FieldState, boundary_rows, scale_w
+from stopngo.riemann import to_riemann, unscale_w
 from stopngo.sim import run_linear, run_nonlinear
 
 L = 2000.0
@@ -368,3 +371,69 @@ def test_junction_row_enforced_each_step(net, rows, tables, window):
         )
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-12
+
+
+def _reference_target_residual(record, net):
+    """The residual one pair of records and one record at a time, as a
+    reference for the stacked blocks of ``target_residual``: the same
+    expressions, so the value and its type must agree exactly."""
+    targets, times = record.target, record.times
+    rows = boundary_rows(net)
+    lam_w1, lam_v1 = net.ss1.lambda_w, net.ss1.lambda_v
+    lam_w2, lam_v2 = net.ss2.lambda_w, net.ss2.lambda_v
+    h1 = targets[0].grid1[1] - targets[0].grid1[0]
+    h2 = targets[0].grid2[1] - targets[0].grid2[0]
+    res = 0.0
+    for n in range(len(targets) - 1):
+        dt = times[n + 1] - times[n]
+        a, b = targets[n], targets[n + 1]
+        ra1 = (b.alpha1[1:] - a.alpha1[1:]) / dt + lam_w1 * (a.alpha1[1:] - a.alpha1[:-1]) / h1
+        ra2 = (b.alpha2[1:] - a.alpha2[1:]) / dt + lam_w2 * (a.alpha2[1:] - a.alpha2[:-1]) / h2
+        rb1 = (b.beta1[:-1] - a.beta1[:-1]) / dt - lam_v1 * (a.beta1[1:] - a.beta1[:-1]) / h1
+        rb2 = (b.beta2[:-1] - a.beta2[:-1]) / dt - lam_v2 * (a.beta2[1:] - a.beta2[:-1]) / h2
+        res = max(res, *(float(np.max(np.abs(r))) for r in (ra1, ra2, rb1, rb2)))
+    for st_ in targets[1:]:
+        res = max(
+            res,
+            abs(st_.beta1[-1] - rows.g_outlet * st_.alpha1[-1]),
+            abs(st_.alpha1[0] - st_.alpha2[-1]),
+            abs(st_.alpha2[0] - rows.g_inlet * st_.beta2[0]),
+            abs(st_.beta2[-1] - rows.g_t * st_.beta1[0] - rows.g_a * st_.alpha2[-1]),
+        )
+    return res
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("run", ["linear closed", "linear open", "nonlinear closed"])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    eps=st.floats(0.0, 0.05),
+    k=st.integers(1, 3),
+    phase1=st.floats(0.0, 2.0 * np.pi),
+    phase2=st.floats(0.0, 2.0 * np.pi),
+)
+def test_stacked_target_residual_matches_pair_loop(
+    net, tables, window, run, record_every, eps, k, phase1, phase2
+):
+    # open-loop records with targets let the boundary relations win, and the
+    # result is then a numpy scalar; the interior maxima give a float
+    model, loop = run.split()
+    cfg = sg.SimConfig(t_final=0.3 * window, N=32, loop_mode=loop, model=model,
+                       ic=sg.ICSpec(eps=eps, k1=k, k2=4 - k, phase1=phase1, phase2=phase2),
+                       record_every=record_every)
+    rec = (run_linear if model == "linear" else run_nonlinear)(cfg, net, tables(32))
+    got, want = target_residual(rec, net), _reference_target_residual(rec, net)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("run", [run_linear, run_nonlinear])
+def test_target_states_share_the_record_grids(net, tables, window, run):
+    # a target state holds the grids of the record, not copies of them
+    cfg = sg.SimConfig(t_final=0.1 * window, N=32, loop_mode="closed",
+                       model="linear" if run is run_linear else "nonlinear",
+                       ic=sg.ICSpec(eps=0.03), record_every=4)
+    rec = run(cfg, net, tables(32))
+    assert len(rec.target) == len(rec.times) > 3
+    for st_ in rec.target:
+        assert st_.grid1 is rec.grid1 and st_.grid2 is rec.grid2

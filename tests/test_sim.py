@@ -9,20 +9,25 @@ from scipy.integrate import simpson
 import stopngo as sg
 from stopngo.control import backstepping_transform, trap_weights
 from stopngo.errors import DomainError, SimulationError
-from stopngo.model import equilibrium_velocity, pressure
+from stopngo.model import equilibrium_velocity, inverse_pressure, pressure
 from stopngo.riemann import (
     PHYSICAL,
     SCALED,
     FieldState,
+    boundary_rows,
     coupling_coefficient,
     physical_arrays,
     riemann_arrays,
+    scale_factor,
     scale_w,
     to_riemann,
     unscale_w,
 )
 from stopngo.sim import (
     RHO_FLOOR,
+    _Recorder,
+    _table_operators,
+    boundary_fluxes,
     export_norms_csv,
     export_states_csv,
     initial_condition,
@@ -563,7 +568,7 @@ def _per_segment_reference(cfg, net, tables=None):
                  cfg.t_final - t)
         u0 = ops.u0(*riemann_arrays(rho[0], v[0], net.ss1, seg1),
                     *riemann_arrays(rho[1], v[1], net.ss2, seg2)) if ops else 0.0
-        (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = sg.sim.boundary_fluxes(
+        (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = _reference_boundary_fluxes(
             rho[0], v[0], rho[1], v[1], u0, net)
         ends = (((q1J, q1J * w1J), (q_out, q_out * w_out)),
                 ((q_in, q_in * w_in), (q2J, q2J * w2J)))
@@ -688,3 +693,222 @@ def test_batched_record_matches_per_record_derivation(
         for got, phys, ss, seg in ((rec.wbar1[0], p1, net.ss1, net.seg1),
                                    (rec.wbar2[0], p2, net.ss2, net.seg2)):
             assert np.array_equal(got, scale_w(to_riemann(phys, ss, seg), ss, seg).a)
+
+
+def _reference_run_linear(cfg, net, tables=None):
+    """The linear stepper one row at a time, four copies and four slice
+    expressions per step, as a reference for the flat stacked state. Same
+    expressions in the same operand order, so the stacked stepper must
+    reproduce every record, target state and trace bit for bit."""
+    closed = cfg.loop_mode == "closed"
+    ss1, ss2, seg1, seg2 = net.ss1, net.ss2, net.seg1, net.seg2
+    N = cfg.N
+    L = seg1.length
+    h = L / N
+    x1 = np.linspace(0.0, L, N + 1)
+    x2 = np.linspace(-L, 0.0, N + 1)
+    ops = _table_operators(tables, net, x1, x2)
+    phys1, phys2 = initial_condition(cfg.ic, net, N)
+    s1 = scale_w(to_riemann(phys1, ss1, seg1), ss1, seg1)
+    s2 = scale_w(to_riemann(phys2, ss2, seg2), ss2, seg2)
+    w1, v1 = s1.a.copy(), s1.b.copy()
+    w2, v2 = s2.a.copy(), s2.b.copy()
+    c1 = coupling_coefficient(x1, ss1, seg1)
+    c2 = coupling_coefficient(x2, ss2, seg2)
+    rows = boundary_rows(net)
+    dt0 = cfg.cfl * h / max(ss1.lambda_w, ss1.lambda_v, ss2.lambda_w, ss2.lambda_v)
+    trace_t = None
+    if ops is not None:
+        A1w, A1v, A2w, A2v = ops.volterra
+        k1w0, k1v0 = A1w[0] * scale_factor(-x1, ss1, seg1), A1v[0]
+        k2wN, k2vN = A2w[N] * scale_factor(-x2, ss2, seg2), A2v[N]
+        denom = 1.0 - k2vN[N]
+        trace_t, trace_b2 = [], []
+    rec = _Recorder(net, x1, x2, SCALED, tables, ops)
+    rec.push(0.0, 0.0, np.concatenate((w1, v1, w2, v2)))
+    t, step, u0 = 0.0, 0, 0.0
+    while t < cfg.t_final - 1e-9 * dt0:
+        dt = min(dt0, cfg.t_final - t)
+        nw1, nv1 = ss1.lambda_w * dt / h, ss1.lambda_v * dt / h
+        nw2, nv2 = ss2.lambda_w * dt / h, ss2.lambda_v * dt / h
+        neww1, newv1 = w1.copy(), v1.copy()
+        neww2, newv2 = w2.copy(), v2.copy()
+        neww1[1:] = w1[1:] - nw1 * (w1[1:] - w1[:-1])
+        newv1[:-1] = v1[:-1] + nv1 * (v1[1:] - v1[:-1]) + dt * c1[:-1] * w1[:-1]
+        neww2[1:] = w2[1:] - nw2 * (w2[1:] - w2[:-1])
+        newv2[:-1] = v2[:-1] + nv2 * (v2[1:] - v2[:-1]) + dt * c2[:-1] * w2[:-1]
+        newv1[-1] = rows.g_outlet * neww1[-1]
+        neww2[0] = rows.g_inlet * newv2[0]
+        neww1[0] = rows.g_junction_w * neww2[-1]
+        rhs0 = rows.g_t * newv1[0] + rows.g_a * neww2[-1]
+        if closed:
+            i1 = float(k1w0 @ neww1 + k1v0 @ newv1)
+            i2p = float(k2wN @ neww2 + k2vN @ newv2) - k2vN[N] * newv2[-1]
+            newv2[-1] = (rhs0 + i2p - rows.g_t * i1) / denom
+            i2 = i2p + k2vN[N] * newv2[-1]
+            u0 = (newv2[-1] - rhs0) / rows.g_control
+        else:
+            newv2[-1] = rhs0
+            u0 = 0.0
+        w1, v1, w2, v2 = neww1, newv1, neww2, newv2
+        t += dt
+        step += 1
+        if not all(np.isfinite(a).all() for a in (w1, v1, w2, v2)):
+            raise SimulationError(f"non-finite state at step {step}, t = {t:.3f} s")
+        if trace_t is not None:
+            if not closed:
+                i2 = float(k2wN @ w2 + k2vN @ v2)
+            trace_t.append(t)
+            trace_b2.append(v2[-1] - i2)
+        if step % cfg.record_every == 0 or t >= cfg.t_final - 1e-9 * dt0:
+            rec.push(t, u0, np.concatenate((w1, v1, w2, v2)))
+    extra = {}
+    if trace_t is not None:
+        extra = dict(trace_times=np.asarray(trace_t), trace_beta2=np.asarray(trace_b2))
+    return rec.finish(ss1.kappa + ss2.kappa, step, **extra)
+
+
+@pytest.mark.parametrize("which", ["default", "gamma"])
+@pytest.mark.parametrize("loop", ["open", "closed", "open with tables"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    N=st.sampled_from([32, 64]),
+    record_every=st.sampled_from([1, 7]),
+    eps=st.floats(0.0, 0.05),
+    k1=st.integers(1, 3),
+    k2=st.integers(1, 3),
+    phase1=st.floats(0.0, 2.0 * np.pi),
+    phase2=st.floats(0.0, 2.0 * np.pi),
+    span=st.floats(0.05, 0.6),
+)
+def test_flat_linear_stepper_matches_row_reference(
+    net, gamma_net, tables, gamma_tables, which, loop, N, record_every, eps, k1, k2, phase1,
+    phase2, span
+):
+    # the flat state must give every record, target state and beta2 trace
+    # the bits of the row-by-row loop, the closed loop's junction solve included
+    net, tb = (gamma_net, gamma_tables(N)) if which == "gamma" else (net, tables(N))
+    cfg = sg.SimConfig(
+        t_final=span * (net.ss1.kappa + net.ss2.kappa), N=N,
+        loop_mode="closed" if loop == "closed" else "open", model="linear",
+        ic=sg.ICSpec(eps=eps, k1=k1, k2=k2, phase1=phase1, phase2=phase2),
+        record_every=record_every,
+    )
+    tb = None if loop == "open" else tb
+    got, want = run_linear(cfg, net, tb), _reference_run_linear(cfg, net, tb)
+    assert got.n_steps == want.n_steps and got.n_steps > 10
+    assert (got.trace_times is None) == (loop == "open")
+    for key, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            other = getattr(got, key)
+            assert other.dtype == value.dtype and np.array_equal(other, value), key
+        elif key != "target":
+            assert getattr(got, key) == value, key
+    assert (got.target is None) == (want.target is None)
+    for a, b in zip(got.target or (), want.target or (), strict=True):
+        for key, value in vars(b).items():
+            assert np.array_equal(getattr(a, key), value), key
+
+
+def _reference_boundary_fluxes(rho1, v1, rho2, v2, u0, net, step=0):
+    """The boundary algebra through the range-checked pressure() and
+    inverse_pressure(), reading the segment parameters anew on every call:
+    the reference for the per-run float algebra of ``sim.boundary_fluxes``."""
+    seg1, seg2 = net.seg1, net.seg2
+    q_star = net.ss1.q_star
+    w2t = v2[-1] + pressure(rho2[-1], seg2)
+    v1t = v1[0]
+    if w2t - v1t <= 0.0:
+        raise SimulationError(f"junction pressure collapsed at step {step}")
+    rho1J = inverse_pressure(w2t - v1t, seg1)
+    if not RHO_FLOOR < rho1J < seg1.rho_max:
+        raise SimulationError(
+            f"junction density {rho1J:.4f} outside (0, rho_max) at step {step}"
+        )
+    q1J = rho1J * v1t
+    q2J = q1J - u0
+    if q2J <= 0.0:
+        raise SimulationError(
+            f"ramp input {u0:.4f} veh/s exceeds the junction flux {q1J:.4f} "
+            f"veh/s at step {step}; feasible U_0 < {q1J:.4f}"
+        )
+    v_in = v2[0]
+    rho_g = q_star / v_in
+    if rho_g >= seg2.rho_max:
+        raise SimulationError(f"inlet ghost density reached rho_max at step {step}")
+    w_g = v_in + pressure(rho_g, seg2)
+    w_out = v1[-1] + pressure(rho1[-1], seg1)
+    return (q1J, w2t), (q_star, w_out), (q_star, w_g), (q2J, w2t)
+
+
+def _outcome(fn, *args):
+    """The four (flux, w) pairs, or the error type and message."""
+    try:
+        return fn(*args)
+    except (DomainError, SimulationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("which", ["default", "gamma"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    scale=st.tuples(st.floats(-0.01, 1.3), *[st.floats(-0.05, 4.0)] * 2,
+                    st.floats(-0.01, 1.3), *[st.floats(-0.05, 4.0)] * 2),
+    u0=st.floats(-1.0, 8.0),
+    step=st.integers(0, 10**6),
+)
+def test_boundary_algebra_matches_pressure_reference(net, gamma_net, which, scale, u0, step):
+    # traces scattered from the steady state over the whole range of every
+    # check: both implementations return the same bits or raise the same
+    # error with the same message
+    net = gamma_net if which == "gamma" else net
+    ss1, ss2 = net.ss1, net.ss2
+    rho1 = np.array([ss1.rho_star, ss1.rho_star * scale[0]])
+    v1 = np.array([ss1.v_star * scale[1], ss1.v_star * scale[2]])
+    rho2 = np.array([ss2.rho_star, ss2.rho_star * scale[3]])
+    v2 = np.array([ss2.v_star * scale[4], ss2.v_star * scale[5]])
+    args = (rho1, v1, rho2, v2, u0, net, step)
+    got = _outcome(boundary_fluxes, *args)
+    with np.errstate(divide="ignore"):  # the reference divides by a stopped inlet's 0
+        want = _outcome(_reference_boundary_fluxes, *args)
+    if isinstance(want[0], str):
+        assert got == want
+    else:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _junction_trace(index, value):
+    """Initial data with one trace velocity replaced: (segment, node)."""
+    def patched(ic, net, N):
+        phys = list(initial_condition(ic, net, N))
+        seg, node = index
+        v = phys[seg].b.copy()
+        v[node] = value
+        phys[seg] = dataclasses.replace(phys[seg], b=v)
+        return tuple(phys)
+    return patched
+
+
+@pytest.mark.parametrize("case", ["collapse", "junction density", "ramp"])
+def test_boundary_errors_keep_step_and_message(net, tables, window, monkeypatch, case):
+    # three of the boundary errors of the nonlinear stepper, at the step and
+    # with the message the range-checked pressure() algebra gave; the fourth,
+    # the inlet ghost density, is test_inlet_ghost_density_failure
+    loop = "open"
+    if case == "collapse":  # v1(0) above w2(0) = v_max
+        monkeypatch.setattr(sg.sim, "initial_condition", _junction_trace((0, 0), 50.0))
+        message = "junction pressure collapsed at step 0$"
+    elif case == "junction density":  # w2(0) - v1(0) above v_max
+        monkeypatch.setattr(sg.sim, "initial_condition", _junction_trace((1, -1), 45.0))
+        message = r"junction density 1\.0083 outside \(0, rho_max\) at step 0$"
+    elif case == "ramp":  # a feedback law 500 times too strong
+        loop = "closed"
+        law = sg.FeedbackOperators.u0_stacked
+        monkeypatch.setattr(sg.FeedbackOperators, "u0_stacked",
+                            lambda self, flux, v: 500.0 * law(self, flux, v))
+        message = (r"ramp input 19\.1467 veh/s exceeds the junction flux 5\.8956 veh/s "
+                   r"at step 18; feasible U_0 < 5\.8956$")
+    cfg = sg.SimConfig(t_final=window, N=64, loop_mode=loop, model="nonlinear",
+                       ic=sg.ICSpec(eps=0.02), record_every=8)
+    with pytest.raises(SimulationError, match=message):
+        run_nonlinear(cfg, net, tables(64) if loop == "closed" else None)
