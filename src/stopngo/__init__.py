@@ -19,7 +19,6 @@ from .model import (
     critical_density,
     equilibrium_flow,
     equilibrium_velocity,
-    inverse_pressure,
     make_network,
     pressure,
     solve_steady_states,
@@ -29,10 +28,8 @@ from .riemann import (
     FieldState,
     boundary_rows,
     coupling_coefficient,
-    from_riemann,
     scale_w,
     to_riemann,
-    unscale_w,
 )
 from .stability import (
     DifferenceModel,

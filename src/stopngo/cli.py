@@ -102,11 +102,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     tables = None
     if sim.loop_mode == "closed":
-        # the transform needs kernel rows on the simulation grid
-        tables = (
-            solve_kernels(1, net, M=sim.N),
-            solve_kernels(2, net, M=sim.N),
-        )
+        tables = tuple(solve_kernels(i, net, M=cfg.kernel_resolution) for i in (1, 2))
     runner = run_linear if sim.model == "linear" else run_nonlinear
     record = runner(sim, net, tables)
     export_states_csv(record, os.path.join(cfg.out_dir, "states.csv"))

@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, RepresentationError
 from .kernels import KernelTable
 from .model import NetworkParams
-from .riemann import RIEMANN, FieldState, boundary_rows, riemann_coefficients, riemann_law
+from .riemann import RIEMANN, FieldState, boundary_rows, riemann_law, riemann_law_params
 from .riemann import scale_factor
 
 
@@ -30,26 +29,26 @@ def trap_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _volterra_matrix(K: np.ndarray, h: float, upper: bool) -> np.ndarray:
-    """K with row j trapezoid-weighted over its range, columns j..M on
-    segment 1 (upper) and 0..j on segment 2 (lower); scaled in place."""
-    A = np.triu(K) if upper else np.tril(K)
-    A *= h
-    A.flat[:: A.shape[0] + 1] *= 0.5
-    edge = -1 if upper else 0
-    A[:, edge] *= 0.5
-    A[edge, edge] = 0.0  # a one-node range integrates to zero
-    return A
+def _cumulative_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid integrals of f from node 0 to every node; 0 at node 0."""
+    out = np.empty_like(f)
+    out[0] = 0.0
+    np.cumsum(f[1:] + f[:-1], out=out[1:])
+    out *= 0.5 * h
+    return out
 
 
 class FeedbackOperators:
     """The feedback law and the Volterra map of one kernel pair, built once.
 
-    The tables act on (w-tilde_i, v-tilde_i). Holds the junction kernel rows
-    stacked one row per segment, their trapezoid weights, g_t and g_control,
-    the Riemann-map parameters spread over the same rows, the state grids (checked
-    against the table grids here, once), scale_w's factors exp(x/(tau v*)) on
-    them and, on first use, the four trapezoid-weighted triangular matrices.
+    The kernels are the constants K^vw = D_i and K^vv = -D_i, so both act on
+    w-tilde_i - v-tilde_i alone: U0 = (D2 I2 - g_t D1 I1) / g_control with
+    I_i the trapezoid integral of w-tilde_i - v-tilde_i over segment i, and
+    beta_i = v-tilde_i - D_i times that integral over the part of the segment
+    the characteristic still has to traverse, one cumulative trapezoid per
+    segment. Holds D_i from the tables, the trapezoid weights of the state
+    grids, g_t and g_control, the Riemann-map parameters as full rows, and
+    scale_w's factors exp(x/(tau v*)) on the state grids.
     """
 
     def __init__(
@@ -60,60 +59,48 @@ class FeedbackOperators:
         grid1: np.ndarray,
         grid2: np.ndarray,
     ):
-        for grid, table in ((grid1, table1), (grid2, table2)):
-            if grid.size != table.M + 1 or not np.allclose(grid, table.x):
-                raise DomainError("state grid does not match the kernel table grid")
-        if table1.M != table2.M:
-            raise DomainError("the kernel tables must share one resolution")
         self.table1, self.table2, self.net = table1, table2, net
         self.grid1, self.grid2 = grid1, grid2
+        self.D1, self.D2 = table1.D, table2.D
         rows = boundary_rows(net)
         self.g_t, self.g_control = rows.g_t, rows.g_control
-        self.trap1 = trap_weights(table1.M + 1, table1.h)
-        self.trap2 = trap_weights(table2.M + 1, table2.h)
+        self.h1, self.h2 = ((g[-1] - g[0]) / (g.size - 1) for g in (grid1, grid2))
+        self.trap1 = trap_weights(grid1.size, self.h1)
+        self.trap2 = trap_weights(grid2.size, self.h2)
         self.scale1 = scale_factor(grid1, net.ss1, net.seg1)
         self.scale2 = scale_factor(grid2, net.ss2, net.seg2)
-        # junction rows: x = 0 is node 0 of segment 1 and node M of segment 2
-        self.kw = np.stack((table1.Kvw[0], table2.Kvw[table2.M]))
-        self.kv = np.stack((table1.Kvv[0], table2.Kvv[table2.M]))
         # full rows rather than (2, 1) columns: numpy reads them faster, same bits
         self.riemann_rows = tuple(
-            np.repeat([[a], [b]], table1.M + 1, axis=1)
-            for a, b in zip(riemann_coefficients(net.ss1, net.seg1),
-                            riemann_coefficients(net.ss2, net.seg2))
+            np.repeat([[a], [b]], grid1.size, axis=1)
+            for a, b in zip(riemann_law_params(net.ss1, net.seg1),
+                            riemann_law_params(net.ss2, net.seg2))
         )
-
-    @cached_property
-    def volterra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(A1w, A1v, A2w, A2v) with beta_i = v_i - (A_iw w_i + A_iv v_i)."""
-        t1, t2 = self.table1, self.table2
-        return (_volterra_matrix(t1.Kvw, t1.h, True), _volterra_matrix(t1.Kvv, t1.h, True),
-                _volterra_matrix(t2.Kvw, t2.h, False), _volterra_matrix(t2.Kvv, t2.h, False))
 
     def u0(self, w1, v1, w2, v2) -> float:
         """U0 from the Riemann components (w-tilde_i, v-tilde_i)."""
-        return self._u0(np.stack((w1, w2)), np.stack((v1, v2)))
+        return self._u0(w1 - v1, w2 - v2)
 
     def u0_stacked(self, flux, v) -> float:
         """U0 from the physical state of both segments as (2, M+1) rows of
         the flux rho v and the velocity, through one stacked Riemann map."""
-        return self._u0(*riemann_law(flux, v, *self.riemann_rows))
+        wt, vt = riemann_law(flux, v, *self.riemann_rows)
+        d = wt - vt
+        return self._u0(d[0], d[1])
 
-    def _u0(self, wt, vt) -> float:
-        s = self.kw * wt + self.kv * vt
-        # two 1-D dot products on contiguous rows keep each segment's summation order
-        i1 = self.trap1 @ s[0]
-        i2 = self.trap2 @ s[1]
-        return float((i2 - self.g_t * i1) / self.g_control)
+    def _u0(self, d1, d2) -> float:
+        i1, i2 = self.trap1 @ d1, self.trap2 @ d2
+        return float((self.D2 * i2 - self.g_t * self.D1 * i1) / self.g_control)
 
     def target(self, riem1: FieldState, riem2: FieldState) -> TargetState:
         """beta_i from the Riemann states; alpha_i is w-bar_i, their rescaled w.
         The target state holds the operators' own grid arrays, not copies."""
-        A1w, A1v, A2w, A2v = self.volterra
         w1, v1, w2, v2 = riem1.a, riem1.b, riem2.a, riem2.b
+        # segment 1 integrates over [x, L], segment 2 over [-L, x]
+        tail1 = _cumulative_trapezoid((w1 - v1)[::-1], self.h1)[::-1]
+        head2 = _cumulative_trapezoid(w2 - v2, self.h2)
         return TargetState(self.grid1, self.grid2,
-                           self.scale1 * w1, v1 - (A1w @ w1 + A1v @ v1),
-                           self.scale2 * w2, v2 - (A2w @ w2 + A2v @ v2))
+                           self.scale1 * w1, v1 - self.D1 * tail1,
+                           self.scale2 * w2, v2 - self.D2 * head2)
 
 
 def _operators(riem1, riem2, table1, table2, net, ops=None) -> FeedbackOperators:
@@ -128,7 +115,7 @@ def _operators(riem1, riem2, table1, table2, net, ops=None) -> FeedbackOperators
         if state.grid is grid:  # the runners pass the grids they built ops on
             continue
         if state.grid.shape != grid.shape or not np.allclose(state.grid, grid):
-            raise DomainError("state grid does not match the kernel table grid")
+            raise DomainError("state grid does not match the operators' grid")
     return ops
 
 
@@ -143,7 +130,7 @@ def backstepping_transform(
     """Volterra map of the Riemann states to the target variables (alpha_i, beta_i).
 
     alpha_i is w-bar_i; beta_i subtracts from v-tilde_i the kernel integral
-    of (w-tilde_i, v-tilde_i) over the part of the segment the corresponding
+    D_i (w-tilde_i - v-tilde_i) over the part of the segment the corresponding
     characteristic still has to traverse. Passing the FeedbackOperators of
     these tables and grids saves rebuilding them.
     """
@@ -161,8 +148,9 @@ def control_input(
     """Ramp-metering flux correction U0 evaluated from the current Riemann state.
 
     U0 = (I2 - g_t I1) / g_control = -q*/(v2*(1+r2)) * (I2 - g_t I1) with I_i
-    the kernel rows at the junction integrated against (w-tilde_i,
-    v-tilde_i); it makes the junction row of the target system hold.
+    = D_i times the integral of w-tilde_i - v-tilde_i over segment i, the
+    junction row of the transform; it makes the junction row of the target
+    system hold.
     """
     ops = _operators(riem1, riem2, table1, table2, net)
     return ops.u0(riem1.a, riem1.b, riem2.a, riem2.b)

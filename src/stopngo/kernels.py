@@ -26,6 +26,7 @@ class KernelTable:
     M: int
     h: float
     x: np.ndarray  # grid nodes of the segment interval
+    D: float  # the kernels' constant: K^vw = D and K^vv = -D on the triangle
     Kvw: np.ndarray  # (M+1, M+1), zero outside the triangle
     Kvv: np.ndarray
     iterations: int  # passes over the table: 1, the closed form
@@ -54,6 +55,7 @@ def solve_kernels(segment_id: int, net: NetworkParams, M: int = 128) -> KernelTa
         M=M,
         h=params.length / M,
         x=np.linspace(lo, hi, M + 1),
+        D=D,
         Kvw=triangle(np.full((M + 1, M + 1), D)),
         Kvv=triangle(np.full((M + 1, M + 1), -D)),
         iterations=1,

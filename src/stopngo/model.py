@@ -99,19 +99,6 @@ def pressure_law(rho, coeff, gamma):
     return coeff * rho**gamma
 
 
-def inverse_pressure(p_val, params: SegmentParams):
-    """Density at which the pressure equals p_val."""
-    if isinstance(p_val, float):  # scalars skip the array round trip
-        if p_val < 0:
-            raise DomainError("pressure must be nonnegative")
-        return params.rho_max * (float(p_val) / params.v_max) ** (1.0 / params.gamma)
-    p_val = np.asarray(p_val, dtype=float)
-    if np.any(p_val < 0):
-        raise DomainError("pressure must be nonnegative")
-    out = params.rho_max * (p_val / params.v_max) ** (1.0 / params.gamma)
-    return out if out.ndim else float(out)
-
-
 def equilibrium_velocity(rho, params: SegmentParams):
     """Greenshields-type speed V(rho) = v_max * (1 - (rho/rho_max)^gamma)."""
     rho = _check_rho(rho, params)

@@ -63,10 +63,10 @@ def to_riemann(phys: FieldState, ss: SteadyState, params: SegmentParams) -> Fiel
 
 def riemann_arrays(rho, v, ss: SteadyState, params: SegmentParams):
     """(w-tilde, v-tilde) of bare arrays, through riemann_law."""
-    return riemann_law(rho * v, v, *riemann_coefficients(ss, params))
+    return riemann_law(rho * v, v, *riemann_law_params(ss, params))
 
 
-def riemann_coefficients(ss: SteadyState, params: SegmentParams):
+def riemann_law_params(ss: SteadyState, params: SegmentParams):
     """(v*, q*, gamma p*/q*, r), the parameters riemann_law takes."""
     return ss.v_star, ss.q_star, params.gamma * ss.p_star / ss.q_star, ss.r
 
@@ -85,18 +85,6 @@ def scale_factor(grid, ss: SteadyState, params: SegmentParams) -> np.ndarray:
     return np.exp(grid / (params.tau * ss.v_star))
 
 
-def from_riemann(riem: FieldState, ss: SteadyState, params: SegmentParams) -> FieldState:
-    """Exact affine inverse of to_riemann, guarded to the physical box."""
-    _require(riem, RIEMANN)
-    # checked before physical_arrays divides by the velocity
-    if np.any(ss.v_star + riem.b <= 0):
-        raise DomainError("recovered velocity is not positive")
-    rho, v = physical_arrays(riem.a, riem.b, ss, params)
-    if np.any(rho <= 0) or np.any(rho >= params.rho_max):
-        raise DomainError("recovered density left the open interval (0, rho_max)")
-    return FieldState(riem.grid.copy(), rho, v, PHYSICAL)
-
-
 def physical_arrays(wt, vt, ss: SteadyState, params: SegmentParams):
     """(rho, v) of bare arrays, the inverse of riemann_arrays; no range guard."""
     v = ss.v_star + vt
@@ -109,12 +97,6 @@ def scale_w(riem: FieldState, ss: SteadyState, params: SegmentParams) -> FieldSt
     _require(riem, RIEMANN)
     factor = scale_factor(riem.grid, ss, params)
     return FieldState(riem.grid.copy(), factor * riem.a, riem.b.copy(), SCALED)
-
-
-def unscale_w(scaled: FieldState, ss: SteadyState, params: SegmentParams) -> FieldState:
-    _require(scaled, SCALED)
-    factor = scale_factor(-scaled.grid, ss, params)
-    return FieldState(scaled.grid.copy(), factor * scaled.a, scaled.b.copy(), RIEMANN)
 
 
 def coupling_coefficient(x, ss: SteadyState, params: SegmentParams):

@@ -220,7 +220,7 @@ def run_linear(
     v-tilde, with the cross source c_i(x) w-bar_i in the v-tilde equations.
     The closed loop solves the junction row together with the feedback law
     each step, so the target-system junction relation holds exactly. The
-    kernel tables act on w-tilde = exp(-x/(tau v*)) w-bar, so that factor is
+    kernels act on w-tilde = exp(-x/(tau v*)) w-bar, so that factor is
     folded into the junction rows once and applied to the recorded states.
 
     The state is one flat array w-bar_1 | w-bar_2 | v-tilde_1 | v-tilde_2 in
@@ -262,10 +262,12 @@ def run_linear(
 
     cur, nxt = views(S), views(S_next)
     if ops is not None:
-        A1w, A1v, A2w, A2v = ops.volterra
-        # scale_factor of -x is exp(-x/(tau v*)), the map from w-bar to w-tilde
-        k1w0, k1v0 = A1w[0] * scale_factor(-x1, ss1, seg1), A1v[0]
-        k2wN, k2vN = A2w[N] * scale_factor(-x2, ss2, seg2), A2v[N]
+        # the junction rows of the transform, K^vw = D_i and K^vv = -D_i
+        # trapezoid-weighted; scale_factor of -x is exp(-x/(tau v*)), the map
+        # from w-bar to w-tilde
+        k1v0, k2vN = -ops.D1 * ops.trap1, -ops.D2 * ops.trap2
+        k1w0 = ops.D1 * ops.trap1 * scale_factor(-x1, ss1, seg1)
+        k2wN = ops.D2 * ops.trap2 * scale_factor(-x2, ss2, seg2)
         # the junction row contains v2[N] inside its own quadrature; solve for it
         denom = 1.0 - k2vN[N]
         trace_t, trace_b2 = [], []
@@ -347,8 +349,8 @@ def _boundary_algebra(net: NetworkParams):
     """``boundary_fluxes`` with the parameters read once, on six float traces:
     v1 at the junction, rho1 and v1 at the outlet, v2 at the inlet, rho2 and
     v2 at the junction. Pressures take pressure()'s float arithmetic and range
-    guard. inverse_pressure's guard is left out: after the collapse check its
-    argument is positive or NaN, and a NaN passes it."""
+    guard. The junction density inverts the pressure with no sign guard: after
+    the collapse check its argument is positive or NaN."""
     q_star, v_max, rho_max1, rho_max2 = (net.ss1.q_star, net.seg1.v_max,
                                          net.seg1.rho_max, net.seg2.rho_max)
     (c1, g1), (c2, g2) = ((s.pressure_coeff, s.gamma) for s in (net.seg1, net.seg2))

@@ -51,8 +51,10 @@ def _table_factory(net):
 def tables(net):
     """Kernel-table factory with a per-resolution cache.
 
-    Closed-loop runs need the table grid to match the simulation grid, so
-    several modules ask for the same resolutions; solving once is enough.
+    Closed-loop runs read only the kernel constant D_i of a table, so any
+    resolution serves any simulation grid; the tests that compare with the
+    dense tables ask for them on the state grid, and several modules ask for
+    the same resolutions, so solving once is enough.
     """
     return _table_factory(net)
 

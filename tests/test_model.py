@@ -10,11 +10,11 @@ from stopngo.model import (
     critical_density,
     equilibrium_flow,
     equilibrium_velocity,
-    inverse_pressure,
     pressure,
     riemann_coefficients,
     solve_steady_states,
 )
+from oracles import inverse_pressure
 
 SEG1 = dict(rho_max=0.6667, gamma=1.0, v_max=45.0)
 SEG2 = dict(rho_max=0.8, gamma=1.0, v_max=45.0)

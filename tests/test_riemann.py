@@ -5,7 +5,7 @@ import pytest
 
 import stopngo as sg
 from stopngo.errors import DomainError, RepresentationError
-from stopngo.model import congested_flux_root, inverse_pressure, pressure
+from stopngo.model import congested_flux_root, pressure
 from stopngo.riemann import (
     PHYSICAL,
     RIEMANN,
@@ -13,15 +13,15 @@ from stopngo.riemann import (
     FieldState,
     boundary_rows,
     coupling_coefficient,
-    from_riemann,
     riemann_arrays,
-    riemann_coefficients,
     riemann_law,
+    riemann_law_params,
     scale_w,
     to_riemann,
-    unscale_w,
 )
 from stopngo.sim import boundary_fluxes
+
+from oracles import from_riemann, inverse_pressure, unscale_w
 
 
 def grid(net, sid, N=64):
@@ -263,7 +263,7 @@ def test_stacked_riemann_law_matches_the_map_row_by_row(net, gamma_net, which, s
     rho = np.stack([ss.rho_star * (1.0 + 0.1 * rng.standard_normal(65)) for ss, _ in pairs])
     v = np.stack([ss.v_star * (1.0 + 0.1 * rng.standard_normal(65)) for ss, _ in pairs])
     params = [np.array([[a] * spread, [b] * spread])
-              for a, b in zip(*(riemann_coefficients(*p) for p in pairs))]
+              for a, b in zip(*(riemann_law_params(*p) for p in pairs))]
     wt, vt = riemann_law(rho * v, v, *params)
     for i, (ss, params) in enumerate(pairs):
         want_w, want_v = riemann_arrays(rho[i], v[i], ss, params)

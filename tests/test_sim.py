@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import simpson
 import stopngo as sg
 from stopngo.control import backstepping_transform, trap_weights
 from stopngo.errors import DomainError, SimulationError
-from stopngo.model import equilibrium_velocity, inverse_pressure, pressure
+from stopngo.model import equilibrium_velocity, pressure
 from stopngo.riemann import (
     PHYSICAL,
     SCALED,
@@ -21,7 +22,6 @@ from stopngo.riemann import (
     scale_factor,
     scale_w,
     to_riemann,
-    unscale_w,
 )
 from stopngo.sim import (
     RHO_FLOOR,
@@ -35,6 +35,7 @@ from stopngo.sim import (
     run_linear,
     run_nonlinear,
 )
+from oracles import inverse_pressure, unscale_w
 from test_kernels import CORNER
 from test_stability import _criterion_2_network
 
@@ -190,6 +191,23 @@ def test_closed_loop_linear_contracts(net, tables, window):
     hist = norms_and_rate(rec)
     assert hist.status == "ok"
     assert hist.rate is not None and hist.rate > 0.0
+
+
+def test_closed_linear_run_memory_is_bounded(net):
+    # the law and the transform read D_i and O(N) weights, so no (N+1)^2
+    # array is built during the run: the peak is 1.77 MB at N = 1024 (5 s
+    # simulated), and one (N+1)^2 float array alone (8.4 MB) breaks the bound
+    cfg = sg.SimConfig(t_final=5.0, N=1024, loop_mode="closed", model="linear",
+                       ic=sg.ICSpec(eps=0.05))
+    # tables on the simulation grid, solved before the trace starts
+    tb = (sg.solve_kernels(1, net, M=1024), sg.solve_kernels(2, net, M=1024))
+    tracemalloc.start()
+    try:
+        run_linear(cfg, net, tb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_closed_nonlinear_requires_tables(net):
@@ -719,9 +737,9 @@ def _reference_run_linear(cfg, net, tables=None):
     dt0 = cfg.cfl * h / max(ss1.lambda_w, ss1.lambda_v, ss2.lambda_w, ss2.lambda_v)
     trace_t = None
     if ops is not None:
-        A1w, A1v, A2w, A2v = ops.volterra
-        k1w0, k1v0 = A1w[0] * scale_factor(-x1, ss1, seg1), A1v[0]
-        k2wN, k2vN = A2w[N] * scale_factor(-x2, ss2, seg2), A2v[N]
+        k1v0, k2vN = -ops.D1 * ops.trap1, -ops.D2 * ops.trap2
+        k1w0 = ops.D1 * ops.trap1 * scale_factor(-x1, ss1, seg1)
+        k2wN = ops.D2 * ops.trap2 * scale_factor(-x2, ss2, seg2)
         denom = 1.0 - k2vN[N]
         trace_t, trace_b2 = [], []
     rec = _Recorder(net, x1, x2, SCALED, tables, ops)
