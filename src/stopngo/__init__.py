@@ -6,7 +6,6 @@ from .errors import (
     ConfigError,
     DomainError,
     InfeasibleError,
-    RepresentationError,
     SimulationError,
     StopngoError,
 )
@@ -25,7 +24,6 @@ from .model import (
 )
 from .riemann import (
     BoundaryRows,
-    FieldState,
     boundary_rows,
     coupling_coefficient,
     scale_w,

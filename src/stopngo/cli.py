@@ -15,7 +15,6 @@ from .errors import (
     ConfigError,
     DomainError,
     InfeasibleError,
-    RepresentationError,
     SimulationError,
 )
 from .kernels import kernel_residual, save_table, solve_kernels
@@ -28,7 +27,6 @@ VALIDATION_ERRORS = (
     DomainError,
     InfeasibleError,
     AssumptionError,
-    RepresentationError,
 )
 NUMERICAL_ERRORS = (
     SimulationError,

@@ -5,11 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RepresentationError
+from .errors import DomainError
 from .kernels import KernelTable
 from .model import NetworkParams
-from .riemann import RIEMANN, FieldState, boundary_rows, riemann_law, riemann_law_params
-from .riemann import scale_factor
+from .riemann import boundary_rows, riemann_law_params, scale_factor
 
 
 @dataclass
@@ -30,25 +29,23 @@ def trap_weights(n: int, h: float) -> np.ndarray:
 
 
 def _cumulative_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid integrals of f from node 0 to every node; 0 at node 0."""
+    """Trapezoid integrals along each row of f from node 0 to every node; 0
+    at node 0."""
     out = np.empty_like(f)
-    out[0] = 0.0
-    np.cumsum(f[1:] + f[:-1], out=out[1:])
+    out[:, 0] = 0.0
+    np.cumsum(f[:, 1:] + f[:, :-1], axis=-1, out=out[:, 1:])
     out *= 0.5 * h
     return out
 
 
 class FeedbackOperators:
-    """The feedback law and the Volterra map of one kernel pair, built once.
+    """The constants of the feedback law and the Volterra map, built once per run.
 
     The kernels are the constants K^vw = D_i and K^vv = -D_i, so both act on
-    w-tilde_i - v-tilde_i alone: U0 = (D2 I2 - g_t D1 I1) / g_control with
-    I_i the trapezoid integral of w-tilde_i - v-tilde_i over segment i, and
-    beta_i = v-tilde_i - D_i times that integral over the part of the segment
-    the characteristic still has to traverse, one cumulative trapezoid per
-    segment. Holds D_i from the tables, the trapezoid weights of the state
-    grids, g_t and g_control, the Riemann-map parameters as full rows, and
-    scale_w's factors exp(x/(tau v*)) on the state grids.
+    w-tilde_i - v-tilde_i alone. Holds D_i from the tables, the trapezoid
+    weights of the state grids, g_t and g_control, the Riemann-map
+    parameters as full rows and scale_w's factors exp(x/(tau v*)) on the
+    state grids.
     """
 
     def __init__(
@@ -59,7 +56,8 @@ class FeedbackOperators:
         grid1: np.ndarray,
         grid2: np.ndarray,
     ):
-        self.table1, self.table2, self.net = table1, table2, net
+        if table1.segment_id != 1 or table2.segment_id != 2:
+            raise DomainError("tables must be (segment 1, segment 2)")
         self.grid1, self.grid2 = grid1, grid2
         self.D1, self.D2 = table1.D, table2.D
         rows = boundary_rows(net)
@@ -76,84 +74,35 @@ class FeedbackOperators:
                             riemann_law_params(net.ss2, net.seg2))
         )
 
-    def u0(self, w1, v1, w2, v2) -> float:
-        """U0 from the Riemann components (w-tilde_i, v-tilde_i)."""
-        return self._u0(w1 - v1, w2 - v2)
 
-    def u0_stacked(self, flux, v) -> float:
-        """U0 from the physical state of both segments as (2, M+1) rows of
-        the flux rho v and the velocity, through one stacked Riemann map."""
-        wt, vt = riemann_law(flux, v, *self.riemann_rows)
-        d = wt - vt
-        return self._u0(d[0], d[1])
+def control_input(ops: FeedbackOperators, wt, vt) -> float:
+    """Ramp-metering flux correction U0 from the Riemann state of both
+    segments, (w-tilde, v-tilde) as (2, N+1) rows, one row per segment.
 
-    def _u0(self, d1, d2) -> float:
-        i1, i2 = self.trap1 @ d1, self.trap2 @ d2
-        return float((self.D2 * i2 - self.g_t * self.D1 * i1) / self.g_control)
-
-    def target(self, riem1: FieldState, riem2: FieldState) -> TargetState:
-        """beta_i from the Riemann states; alpha_i is w-bar_i, their rescaled w.
-        The target state holds the operators' own grid arrays, not copies."""
-        w1, v1, w2, v2 = riem1.a, riem1.b, riem2.a, riem2.b
-        # segment 1 integrates over [x, L], segment 2 over [-L, x]
-        tail1 = _cumulative_trapezoid((w1 - v1)[::-1], self.h1)[::-1]
-        head2 = _cumulative_trapezoid(w2 - v2, self.h2)
-        return TargetState(self.grid1, self.grid2,
-                           self.scale1 * w1, v1 - self.D1 * tail1,
-                           self.scale2 * w2, v2 - self.D2 * head2)
+    U0 = (D2 I2 - g_t D1 I1) / g_control with I_i the trapezoid integral of
+    w-tilde_i - v-tilde_i over segment i, the junction row of the transform;
+    it makes the junction row of the target system hold.
+    """
+    d = wt - vt
+    i1, i2 = ops.trap1 @ d[0], ops.trap2 @ d[1]
+    return float((ops.D2 * i2 - ops.g_t * ops.D1 * i1) / ops.g_control)
 
 
-def _operators(riem1, riem2, table1, table2, net, ops=None) -> FeedbackOperators:
-    for state in (riem1, riem2):
-        if state.rep != RIEMANN:
-            raise RepresentationError(f"expected Riemann state, got {state.rep}")
-    if ops is None:
-        return FeedbackOperators(table1, table2, net, riem1.grid, riem2.grid)
-    if ops.table1 is not table1 or ops.table2 is not table2 or ops.net is not net:
-        raise DomainError("operators were built for other tables or another network")
-    for state, grid in ((riem1, ops.grid1), (riem2, ops.grid2)):
-        if state.grid is grid:  # the runners pass the grids they built ops on
-            continue
-        if state.grid.shape != grid.shape or not np.allclose(state.grid, grid):
-            raise DomainError("state grid does not match the operators' grid")
-    return ops
-
-
-def backstepping_transform(
-    riem1: FieldState,
-    riem2: FieldState,
-    table1: KernelTable,
-    table2: KernelTable,
-    net: NetworkParams,
-    ops: FeedbackOperators | None = None,
-) -> TargetState:
-    """Volterra map of the Riemann states to the target variables (alpha_i, beta_i).
+def backstepping_transform(ops: FeedbackOperators, w1, v1, w2, v2) -> list[TargetState]:
+    """Volterra map of Riemann states to the target variables (alpha_i, beta_i),
+    on (K, N+1) blocks of (w-tilde_i, v-tilde_i), one row per state.
 
     alpha_i is w-bar_i; beta_i subtracts from v-tilde_i the kernel integral
     D_i (w-tilde_i - v-tilde_i) over the part of the segment the corresponding
-    characteristic still has to traverse. Passing the FeedbackOperators of
-    these tables and grids saves rebuilding them.
+    characteristic still has to traverse, one cumulative trapezoid per
+    segment along the rows. Returns one TargetState per row, whose arrays are
+    rows of the result blocks and whose grids are the operators' own.
     """
-    ops = _operators(riem1, riem2, table1, table2, net, ops)
-    return ops.target(riem1, riem2)
-
-
-def control_input(
-    riem1: FieldState,
-    riem2: FieldState,
-    table1: KernelTable,
-    table2: KernelTable,
-    net: NetworkParams,
-) -> float:
-    """Ramp-metering flux correction U0 evaluated from the current Riemann state.
-
-    U0 = (I2 - g_t I1) / g_control = -q*/(v2*(1+r2)) * (I2 - g_t I1) with I_i
-    = D_i times the integral of w-tilde_i - v-tilde_i over segment i, the
-    junction row of the transform; it makes the junction row of the target
-    system hold.
-    """
-    ops = _operators(riem1, riem2, table1, table2, net)
-    return ops.u0(riem1.a, riem1.b, riem2.a, riem2.b)
+    # segment 1 integrates over [x, L], segment 2 over [-L, x]
+    tail1 = _cumulative_trapezoid((w1 - v1)[:, ::-1], ops.h1)[:, ::-1]
+    head2 = _cumulative_trapezoid(w2 - v2, ops.h2)
+    blocks = (ops.scale1 * w1, v1 - ops.D1 * tail1, ops.scale2 * w2, v2 - ops.D2 * head2)
+    return [TargetState(ops.grid1, ops.grid2, *rows) for rows in zip(*blocks)]
 
 
 def target_residual(record, net: NetworkParams) -> float:

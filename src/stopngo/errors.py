@@ -9,10 +9,6 @@ class DomainError(StopngoError, ValueError):
     """A physical quantity is outside its admissible range."""
 
 
-class RepresentationError(StopngoError, ValueError):
-    """A field state is in the wrong representation for the requested map."""
-
-
 class InfeasibleError(StopngoError, ValueError):
     """Requested flux or control demand cannot be realized."""
 

@@ -12,6 +12,7 @@ Control Optim. 51 (2013).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,9 +28,22 @@ class KernelTable:
     h: float
     x: np.ndarray  # grid nodes of the segment interval
     D: float  # the kernels' constant: K^vw = D and K^vv = -D on the triangle
-    Kvw: np.ndarray  # (M+1, M+1), zero outside the triangle
-    Kvv: np.ndarray
     iterations: int  # passes over the table: 1, the closed form
+
+    # the dense (M+1, M+1) tables, zero outside the triangle, are built on
+    # first read: the feedback law and the transform read D alone
+    @cached_property
+    def Kvw(self) -> np.ndarray:
+        return self._triangle(self.D)
+
+    @cached_property
+    def Kvv(self) -> np.ndarray:
+        return self._triangle(-self.D)
+
+    def _triangle(self, value: float) -> np.ndarray:
+        # the triangle is xi >= x on segment 1 and xi <= x on segment 2
+        triangle = np.triu if self.segment_id == 1 else np.tril
+        return triangle(np.full((self.M + 1, self.M + 1), value))
 
 
 def _segment(segment_id: int, net: NetworkParams):
@@ -48,25 +62,20 @@ def solve_kernels(segment_id: int, net: NetworkParams, M: int = 128) -> KernelTa
     params, ss, sign = _segment(segment_id, net)
     D = sign / (params.tau * params.gamma * ss.p_star)
     lo, hi = params.interval
-    # the triangle is xi >= x on segment 1 and xi <= x on segment 2
-    triangle = np.triu if segment_id == 1 else np.tril
     return KernelTable(
         segment_id=segment_id,
         M=M,
         h=params.length / M,
         x=np.linspace(lo, hi, M + 1),
         D=D,
-        Kvw=triangle(np.full((M + 1, M + 1), D)),
-        Kvv=triangle(np.full((M + 1, M + 1), -D)),
         iterations=1,
     )
 
 
 def _interior(segment_id: int, M: int):
     """Row and column indices of the nodes strictly inside the triangle."""
-    j, k = np.meshgrid(np.arange(1, M), np.arange(1, M), indexing="ij")
-    inside = k > j if segment_id == 1 else k < j
-    return j[inside], k[inside]
+    j, k = np.triu_indices(M - 1, 1) if segment_id == 1 else np.tril_indices(M - 1, -1)
+    return j + 1, k + 1
 
 
 def _central(K: np.ndarray, j, k, h: float):

@@ -12,57 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RepresentationError
+from .errors import DomainError
 from .model import NetworkParams, SegmentParams, SteadyState
 
-PHYSICAL = "physical"
-RIEMANN = "riemann"
-SCALED = "scaled"
 
-
-@dataclass
-class FieldState:
-    grid: np.ndarray
-    a: np.ndarray  # rho | w-tilde | w-bar
-    b: np.ndarray  # v | v-tilde
-    rep: str
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if not (self.grid.shape == self.a.shape == self.b.shape):
-            raise DomainError("grid and value arrays must have identical shape")
-        if self.grid.size < 2:
-            raise DomainError("a field state needs at least two grid points")
-        if self.rep not in (PHYSICAL, RIEMANN, SCALED):
-            raise RepresentationError(f"unknown representation {self.rep!r}")
-
-    def copy(self) -> "FieldState":
-        return FieldState(self.grid.copy(), self.a.copy(), self.b.copy(), self.rep)
-
-
-def _require(state: FieldState, rep: str):
-    if state.rep != rep:
-        raise RepresentationError(f"expected {rep} state, got {state.rep}")
-
-
-def to_riemann(phys: FieldState, ss: SteadyState, params: SegmentParams) -> FieldState:
-    """Characteristic coordinates about the steady state.
+def to_riemann(rho, v, ss: SteadyState, params: SegmentParams):
+    """Characteristic coordinates (w-tilde, v-tilde) about the steady state.
 
     w-tilde = (gamma p*/q*) (rho v - q*) - (1/r) (v - v*),  v-tilde = v - v*.
 
     w-tilde is the linearization of the driver property w = v + p(rho) in
     (rho v, v), since 1 - gamma p*/v* = -1/r; it is the quantity the plant
-    transports at v*.
+    transports at v*. The arrays may be rows or (K, N+1) blocks.
     """
-    _require(phys, PHYSICAL)
-    wt, vt = riemann_arrays(phys.a, phys.b, ss, params)
-    return FieldState(phys.grid.copy(), wt, vt, RIEMANN)
-
-
-def riemann_arrays(rho, v, ss: SteadyState, params: SegmentParams):
-    """(w-tilde, v-tilde) of bare arrays, through riemann_law."""
     return riemann_law(rho * v, v, *riemann_law_params(ss, params))
 
 
@@ -86,17 +48,15 @@ def scale_factor(grid, ss: SteadyState, params: SegmentParams) -> np.ndarray:
 
 
 def physical_arrays(wt, vt, ss: SteadyState, params: SegmentParams):
-    """(rho, v) of bare arrays, the inverse of riemann_arrays; no range guard."""
+    """(rho, v) from (w-tilde, v-tilde), the inverse of to_riemann; no range guard."""
     v = ss.v_star + vt
     flux = ss.q_star + (ss.q_star / (params.gamma * ss.p_star)) * (wt + vt / ss.r)
     return flux / v, v
 
 
-def scale_w(riem: FieldState, ss: SteadyState, params: SegmentParams) -> FieldState:
-    """w-bar(x) = exp(x/(tau v*)) w-tilde(x); the v component is untouched."""
-    _require(riem, RIEMANN)
-    factor = scale_factor(riem.grid, ss, params)
-    return FieldState(riem.grid.copy(), factor * riem.a, riem.b.copy(), SCALED)
+def scale_w(x, wt, ss: SteadyState, params: SegmentParams) -> np.ndarray:
+    """w-bar(x) = exp(x/(tau v*)) w-tilde(x); v-tilde is the same in both."""
+    return scale_factor(x, ss, params) * wt
 
 
 def coupling_coefficient(x, ss: SteadyState, params: SegmentParams):

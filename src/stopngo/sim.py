@@ -13,21 +13,18 @@ from itertools import chain
 
 import numpy as np
 
-# control_input stays importable from sim, where callers have looked it up
+# the runners call the law, the transform and the maps through this module's
+# names, so a wrapper installed on them sees every call
 from .control import FeedbackOperators, TargetState, backstepping_transform, control_input
 from .control import trap_weights
 from .errors import DomainError, SimulationError
 from .kernels import KernelTable
 from .model import NetworkParams, equilibrium_velocity, pressure, pressure_law
 from .riemann import (
-    PHYSICAL,
-    RIEMANN,
-    SCALED,
-    FieldState,
     boundary_rows,
     coupling_coefficient,
     physical_arrays,
-    riemann_arrays,
+    riemann_law,
     scale_factor,
     scale_w,
     to_riemann,
@@ -122,7 +119,8 @@ class NormHistory:
 
 
 def initial_condition(ic: ICSpec, net: NetworkParams, N: int):
-    """On-equilibrium sinusoid perturbation (v = V(rho) pointwise)."""
+    """On-equilibrium sinusoid perturbation (v = V(rho) pointwise), as
+    (rho, v) rows on the N+1 nodes of each segment."""
     if ic.eps >= 0.5:
         raise DomainError(f"amplitude must be below 0.5, got {ic.eps}")
     L = net.seg1.length
@@ -136,20 +134,20 @@ def initial_condition(ic: ICSpec, net: NetworkParams, N: int):
         rho = ss.rho_star * (1.0 + ic.eps * np.sin(2.0 * np.pi * k * x / L + phase))
         if np.any(rho <= 0.0) or np.any(rho >= params.rho_max):
             raise DomainError("initial density leaves (0, rho_max)")
-        out.append(FieldState(x, rho, equilibrium_velocity(rho, params), PHYSICAL))
+        out.append((rho, equilibrium_velocity(rho, params)))
     return out[0], out[1]
 
 
 class _Recorder:
     """Keeps t, U0 and one copy of the stepper's rows per record: (rho, v) per
-    segment when ``rep`` is PHYSICAL, (w-bar, v-tilde) when SCALED. ``finish``
-    stacks them into one (K, 2, 2, N+1) batch and derives the other
-    representations, the norms and the target states from it once per run.
+    segment when ``physical``, (w-bar, v-tilde) otherwise. ``finish`` stacks
+    them into one (K, 2, 2, N+1) batch and derives the other representations,
+    the norms and, given feedback operators, the target states from it once
+    per run.
     """
 
-    def __init__(self, net, x1, x2, rep, tables, ops):
-        self.net, self.rep, self.x1, self.x2 = net, rep, x1, x2
-        self.tables, self.ops = tables, ops
+    def __init__(self, net, x1, x2, ops, physical):
+        self.net, self.physical, self.x1, self.x2, self.ops = net, physical, x1, x2, ops
         self.times, self.u0, self.states = [], [], []
 
     def push(self, t, u0, state):
@@ -167,16 +165,16 @@ class _Recorder:
         segments = ((self.x1, net.ss1, net.seg1), (self.x2, net.ss2, net.seg2))
         for i, (x, ss, params) in enumerate(segments):
             a, b = batch[:, i, 0], batch[:, i, 1]
-            if self.rep == PHYSICAL:
+            if self.physical:
                 rho, v = a, b
-                wt, vt = riemann_arrays(rho, v, ss, params)
-                wbar = scale_factor(x, ss, params) * wt
+                wt, vt = to_riemann(rho, v, ss, params)
+                wbar = scale_w(x, wt, ss, params)
             else:
                 wbar, vt = a, b
                 wt = scale_factor(-x, ss, params) * wbar  # exp(-x/(tau v*)) w-bar
                 # no range guard: the linearized state may leave the physical box
                 rho, v = physical_arrays(wt, vt, ss, params)
-            riem.append((x, wt, vt))
+            riem += wt, vt
             n = str(i + 1)
             fields["rho" + n], fields["v" + n] = rho, v
             fields["wbar" + n], fields["vtil" + n] = wbar, vt
@@ -185,28 +183,10 @@ class _Recorder:
                 np.abs(rho - ss.rho_star).max(axis=-1) / ss.rho_star,
                 np.abs(v - ss.v_star).max(axis=-1) / ss.v_star,
             )
-        target = None
-        if self.tables is not None:
-            (x1, wt1, vt1), (x2, wt2, vt2) = riem
-            target = [
-                backstepping_transform(FieldState(x1, wt1[k], vt1[k], RIEMANN),
-                                       FieldState(x2, wt2[k], vt2[k], RIEMANN),
-                                       *self.tables, net, self.ops)
-                for k in range(len(batch))
-            ]
+        target = None if self.ops is None else backstepping_transform(self.ops, *riem)
         return SimRecord(times=np.asarray(self.times), grid1=self.x1, grid2=self.x2,
                          u0=np.asarray(self.u0), window=window, n_steps=n_steps,
                          target=target, **fields, **extra)
-
-
-def _table_operators(tables, net, x1, x2) -> FeedbackOperators | None:
-    """The feedback operators of the table pair on the simulation grids."""
-    if tables is None:
-        return None
-    t1, t2 = tables
-    if t1.segment_id != 1 or t2.segment_id != 2:
-        raise DomainError("tables must be (segment 1, segment 2)")
-    return FeedbackOperators(t1, t2, net, x1, x2)
 
 
 def run_linear(
@@ -238,12 +218,13 @@ def run_linear(
     L = seg1.length
     h = L / N
     x1, x2 = np.linspace(0.0, L, M), np.linspace(-L, 0.0, M)
-    ops = _table_operators(tables, net, x1, x2)
+    ops = None if tables is None else FeedbackOperators(*tables, net, x1, x2)
 
-    phys1, phys2 = initial_condition(cfg.ic, net, N)
-    s1 = scale_w(to_riemann(phys1, ss1, seg1), ss1, seg1)
-    s2 = scale_w(to_riemann(phys2, ss2, seg2), ss2, seg2)
-    S, S_next = np.concatenate((s1.a, s2.a, s1.b, s2.b)), np.empty(4 * M)
+    (rho1, vel1), (rho2, vel2) = initial_condition(cfg.ic, net, N)
+    wt1, vt1 = to_riemann(rho1, vel1, ss1, seg1)
+    wt2, vt2 = to_riemann(rho2, vel2, ss2, seg2)
+    S = np.concatenate((scale_w(x1, wt1, ss1, seg1), scale_w(x2, wt2, ss2, seg2), vt1, vt2))
+    S_next = np.empty(4 * M)
     last = 4 * M - 1  # v-tilde_2(0), the junction trace
     D = np.empty(last)  # forward differences, then the products of a step
     Dw, Dv = D[: 2 * M - 1], D[2 * M :]
@@ -274,7 +255,7 @@ def run_linear(
     else:
         trace_t = None
 
-    rec = _Recorder(net, x1, x2, SCALED, tables, ops)
+    rec = _Recorder(net, x1, x2, ops, physical=False)
 
     def snapshot(t, u0):  # the recorder takes (w-bar, v-tilde) per segment
         rec.push(t, u0, S.reshape(2, 2, M).swapaxes(0, 1).copy())
@@ -419,7 +400,7 @@ def run_nonlinear(
     h = L / N
     x1 = np.linspace(0.0, L, M)
     x2 = np.linspace(-L, 0.0, M)
-    ops = _table_operators(tables, net, x1, x2)
+    ops = None if tables is None else FeedbackOperators(*tables, net, x1, x2)
     wc = trap_weights(M, h)  # also the cell widths: h/2 at the ends, h inside
 
     segs = (seg1, seg2)
@@ -443,11 +424,11 @@ def run_nonlinear(
                 pressure(rho, params)
         return pressure_law(R, coeff, gamma)
 
-    phys1, phys2 = initial_condition(cfg.ic, net, N)
+    (rho1, v1), (rho2, v2) = initial_condition(cfg.ic, net, N)
     U = np.empty((2, 2, M))
     R, Y = U  # views: R[i] and Y[i] belong to segment i + 1
-    R[:] = phys1.a, phys2.a
-    V = np.stack((phys1.b, phys2.b))
+    R[:] = rho1, rho2
+    V = np.stack((v1, v2))
     # one range-checked pressure per step, on the current density; it serves
     # the wave speeds, the relaxation and the velocity update. The relaxation
     # leaves rho alone, so one R.min() per step serves the range check and
@@ -476,7 +457,7 @@ def run_nonlinear(
     rel, gap = np.empty_like(V), np.empty_like(V)
 
     fluxes = _boundary_algebra(net)  # on the traces at flat indices i M + j
-    rec = _Recorder(net, x1, x2, PHYSICAL, tables, ops)
+    rec = _Recorder(net, x1, x2, ops, physical=True)
     mass = float(wc @ R[0] + wc @ R[1])
     mass_err = 0.0
 
@@ -507,7 +488,7 @@ def run_nonlinear(
         dt = min(cfg.cfl * (0.5 * h) / amax, cfg.t_final - t)
 
         np.multiply(U, V, out=F)  # (rho v, y v); F[0] is the rho v of the Riemann map
-        u0 = ops.u0_stacked(F[0], V) if closed else 0.0
+        u0 = control_input(ops, *riemann_law(F[0], V, *ops.riemann_rows)) if closed else 0.0
 
         (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = fluxes(
             V.item(0), R.item(N), V.item(N), V.item(M), R.item(M + N), V.item(M + N), u0, step

@@ -8,16 +8,7 @@ import numpy as np
 
 from stopngo.control import TargetState, trap_weights
 from stopngo.errors import DomainError
-from stopngo.riemann import (
-    PHYSICAL,
-    RIEMANN,
-    SCALED,
-    FieldState,
-    _require,
-    boundary_rows,
-    physical_arrays,
-    scale_factor,
-)
+from stopngo.riemann import boundary_rows, physical_arrays, scale_factor
 
 
 def inverse_pressure(p_val, params):
@@ -33,23 +24,21 @@ def inverse_pressure(p_val, params):
     return out if out.ndim else float(out)
 
 
-def from_riemann(riem, ss, params):
-    """Exact affine inverse of to_riemann, guarded to the physical box."""
-    _require(riem, RIEMANN)
+def from_riemann(wt, vt, ss, params):
+    """(rho, v), the exact affine inverse of to_riemann, guarded to the
+    physical box."""
     # checked before physical_arrays divides by the velocity
-    if np.any(ss.v_star + riem.b <= 0):
+    if np.any(ss.v_star + vt <= 0):
         raise DomainError("recovered velocity is not positive")
-    rho, v = physical_arrays(riem.a, riem.b, ss, params)
+    rho, v = physical_arrays(wt, vt, ss, params)
     if np.any(rho <= 0) or np.any(rho >= params.rho_max):
         raise DomainError("recovered density left the open interval (0, rho_max)")
-    return FieldState(riem.grid.copy(), rho, v, PHYSICAL)
+    return rho, v
 
 
-def unscale_w(scaled, ss, params):
+def unscale_w(x, wbar, ss, params):
     """w-tilde = exp(-x/(tau v*)) w-bar, the inverse of scale_w."""
-    _require(scaled, SCALED)
-    factor = scale_factor(-scaled.grid, ss, params)
-    return FieldState(scaled.grid.copy(), factor * scaled.a, scaled.b.copy(), RIEMANN)
+    return scale_factor(-x, ss, params) * wbar
 
 
 def volterra_matrix(K, h, upper):
@@ -64,24 +53,23 @@ def volterra_matrix(K, h, upper):
     return A
 
 
-def dense_target(riem1, riem2, table1, table2, net):
-    """The transform as two triangular matrix-vector products per segment,
-    on states that lie on the table grids."""
-    w1, v1, w2, v2 = riem1.a, riem1.b, riem2.a, riem2.b
+def dense_target(x1, w1, v1, x2, w2, v2, table1, table2, net):
+    """The transform as two triangular matrix-vector products per segment, on
+    Riemann states (w-tilde_i, v-tilde_i) that lie on the table grids."""
     beta1 = v1 - (volterra_matrix(table1.Kvw, table1.h, True) @ w1
                   + volterra_matrix(table1.Kvv, table1.h, True) @ v1)
     beta2 = v2 - (volterra_matrix(table2.Kvw, table2.h, False) @ w2
                   + volterra_matrix(table2.Kvv, table2.h, False) @ v2)
-    return TargetState(riem1.grid, riem2.grid,
-                       scale_factor(riem1.grid, net.ss1, net.seg1) * w1, beta1,
-                       scale_factor(riem2.grid, net.ss2, net.seg2) * w2, beta2)
+    return TargetState(x1, x2,
+                       scale_factor(x1, net.ss1, net.seg1) * w1, beta1,
+                       scale_factor(x2, net.ss2, net.seg2) * w2, beta2)
 
 
-def dense_u0(riem1, riem2, table1, table2, net):
+def dense_u0(w1, v1, w2, v2, table1, table2, net):
     """U0 from the junction rows of the tables, K^vw w-tilde + K^vv v-tilde
     integrated by the trapezoid rule over each segment."""
     rows = boundary_rows(net)
     M1, M2 = table1.M, table2.M
-    i1 = trap_weights(M1 + 1, table1.h) @ (table1.Kvw[0] * riem1.a + table1.Kvv[0] * riem1.b)
-    i2 = trap_weights(M2 + 1, table2.h) @ (table2.Kvw[M2] * riem2.a + table2.Kvv[M2] * riem2.b)
+    i1 = trap_weights(M1 + 1, table1.h) @ (table1.Kvw[0] * w1 + table1.Kvv[0] * v1)
+    i2 = trap_weights(M2 + 1, table2.h) @ (table2.Kvw[M2] * w2 + table2.Kvv[M2] * v2)
     return float((i2 - rows.g_t * i1) / rows.g_control)

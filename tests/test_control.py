@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 import stopngo as sg
 from stopngo.control import backstepping_transform, control_input, target_residual
-from stopngo.errors import DomainError, RepresentationError
+from stopngo.errors import DomainError
 from stopngo.errors import AssumptionError, InfeasibleError
 from stopngo.kernels import solve_kernels
 from stopngo.model import SegmentParams, admissible_flux_interval, make_network
-from stopngo.riemann import PHYSICAL, RIEMANN, SCALED, FieldState, boundary_rows, scale_w
-from stopngo.riemann import to_riemann
+from stopngo.riemann import boundary_rows, scale_w, to_riemann
 from stopngo.sim import run_linear, run_nonlinear
 
 from oracles import dense_target, dense_u0, unscale_w
@@ -20,38 +19,48 @@ from oracles import dense_target, dense_u0, unscale_w
 L = 2000.0
 
 
-def fs(x, a, b):
-    """A Riemann state (w-tilde, v-tilde), the coordinates of the kernel tables."""
-    return FieldState(x, np.asarray(a, float), np.asarray(b, float), RIEMANN)
-
-
 def grids(M):
     return np.linspace(0.0, L, M + 1), np.linspace(-L, 0.0, M + 1)
 
 
+def operators(tables, net, M):
+    """The feedback operators of a table pair on the state grids of M cells."""
+    return sg.FeedbackOperators(*tables, net, *grids(M))
+
+
+def transform(ops, w1, v1, w2, v2):
+    """The target state of one Riemann state (w-tilde_i, v-tilde_i), through
+    the block transform on one-row blocks."""
+    return backstepping_transform(ops, *(np.atleast_2d(a) for a in (w1, v1, w2, v2)))[0]
+
+
+def law(ops, w1, v1, w2, v2):
+    """U0 of one Riemann state, stacked into the law's (2, N+1) rows."""
+    return control_input(ops, np.stack((w1, w2)), np.stack((v1, v2)))
+
+
 def test_zero_state_maps_to_zero(net, tables):
-    t1, t2 = tables(64)
-    x1, x2 = grids(64)
+    ops = operators(tables(64), net, 64)
     z = np.zeros(65)
-    tar = backstepping_transform(fs(x1, z, z), fs(x2, z, z), t1, t2, net)
+    tar = transform(ops, z, z, z, z)
     assert np.all(tar.beta1 == 0.0)
     assert np.all(tar.beta2 == 0.0)
     assert np.all(tar.alpha1 == 0.0)
     assert np.all(tar.alpha2 == 0.0)
-    assert control_input(fs(x1, z, z), fs(x2, z, z), t1, t2, net) == 0.0
+    assert law(ops, z, z, z, z) == 0.0
 
 
 def test_zero_kernels_make_transform_identity(net, tables):
-    t1, t2 = (dataclasses.replace(t, D=0.0) for t in tables(64))
+    ops = operators([dataclasses.replace(t, D=0.0) for t in tables(64)], net, 64)
     x1, x2 = grids(64)
     w1, v1 = np.sin(x1 / 300.0), np.cos(x1 / 500.0)
     w2, v2 = np.cos(x2 / 400.0), np.sin(x2 / 700.0)
-    tar = backstepping_transform(fs(x1, w1, v1), fs(x2, w2, v2), t1, t2, net)
+    tar = transform(ops, w1, v1, w2, v2)
     assert np.array_equal(tar.beta1, v1)
     assert np.array_equal(tar.beta2, v2)
     # alpha_i is w-bar_i, the rescaled w-tilde_i
-    assert np.array_equal(tar.alpha1, scale_w(fs(x1, w1, v1), net.ss1, net.seg1).a)
-    assert np.array_equal(tar.alpha2, scale_w(fs(x2, w2, v2), net.ss2, net.seg2).a)
+    assert np.array_equal(tar.alpha1, scale_w(x1, w1, net.ss1, net.seg1))
+    assert np.array_equal(tar.alpha2, scale_w(x2, w2, net.ss2, net.seg2))
 
 
 def row_loop_transform(w1, v1, w2, v2, t1, t2):
@@ -110,7 +119,7 @@ def test_matrix_transform_matches_row_loop(net, M):
     for n in [net] + random_networks(8, seed=M):
         t1, t2 = solve_kernels(1, n, M=M), solve_kernels(2, n, M=M)
         w1, v1, w2, v2 = (rng.standard_normal(M + 1) for _ in range(4))
-        tar = backstepping_transform(fs(t1.x, w1, v1), fs(t2.x, w2, v2), t1, t2, n)
+        tar = transform(sg.FeedbackOperators(t1, t2, n, t1.x, t2.x), w1, v1, w2, v2)
         beta1, beta2 = row_loop_transform(w1, v1, w2, v2, t1, t2)
         # rounding scales with the size of the integrals being summed: the
         # state times the inf-norm of the transform, 2.0-2.3 on the default
@@ -139,74 +148,42 @@ def test_constant_kernel_law_matches_dense_table_path(net, gamma_net, which, N, 
     t1, t2 = solve_kernels(1, n, M=N), solve_kernels(2, n, M=N)
     rng = np.random.default_rng(seed)
     w1, v1, w2, v2 = (10.0**log_amp * rng.standard_normal(N + 1) for _ in range(4))
-    r1, r2 = fs(t1.x, w1, v1), fs(t2.x, w2, v2)
-    got, want = backstepping_transform(r1, r2, t1, t2, n), dense_target(r1, r2, t1, t2, n)
+    ops = sg.FeedbackOperators(t1, t2, n, t1.x, t2.x)
+    got = transform(ops, w1, v1, w2, v2)
+    want = dense_target(t1.x, w1, v1, t2.x, w2, v2, t1, t2, n)
     sums = [abs(t.D) * t.h * np.sum(np.abs(w) + np.abs(v)) for t, w, v in ((t1, w1, v1), (t2, w2, v2))]
     for b, bw, v, total in ((got.beta1, want.beta1, v1, sums[0]), (got.beta2, want.beta2, v2, sums[1])):
         assert np.abs(b - bw).max() <= 1e-15 * (np.abs(v).max() + total)
     assert np.array_equal(got.alpha1, want.alpha1) and np.array_equal(got.alpha2, want.alpha2)
     rows = boundary_rows(n)
     u0_scale = (sums[1] + abs(rows.g_t) * sums[0]) / abs(rows.g_control)
-    got_u0 = control_input(r1, r2, t1, t2, n)
-    assert abs(got_u0 - dense_u0(r1, r2, t1, t2, n)) <= 5e-16 * u0_scale
+    got_u0 = law(ops, w1, v1, w2, v2)
+    assert abs(got_u0 - dense_u0(w1, v1, w2, v2, t1, t2, n)) <= 5e-16 * u0_scale
 
 
 def test_operators_read_only_the_kernel_constant(net, tables, rng):
     # the tables' resolution does not enter: tables at M = 32 give the
     # operators of tables on the state grid, bit for bit
-    x1, x2 = grids(128)
     w1, v1, w2, v2 = (rng.standard_normal(129) for _ in range(4))
-    coarse, fine = (sg.FeedbackOperators(*tables(M), net, x1, x2) for M in (32, 128))
-    a, b = coarse.target(fs(x1, w1, v1), fs(x2, w2, v2)), fine.target(fs(x1, w1, v1), fs(x2, w2, v2))
+    coarse, fine = (operators(tables(M), net, 128) for M in (32, 128))
+    a, b = transform(coarse, w1, v1, w2, v2), transform(fine, w1, v1, w2, v2)
     for key in ("alpha1", "beta1", "alpha2", "beta2"):
         assert np.array_equal(getattr(a, key), getattr(b, key))
-    assert coarse.u0(w1, v1, w2, v2) == fine.u0(w1, v1, w2, v2)
+    assert law(coarse, w1, v1, w2, v2) == law(fine, w1, v1, w2, v2)
 
 
-def test_grid_mismatch_rejected(net, tables):
-    # the operators hold the weights of their grids; a state on another
-    # grid must not reuse them
+def test_tables_must_come_in_segment_order(net, tables):
     t1, t2 = tables(64)
-    ops = sg.FeedbackOperators(t1, t2, net, *grids(64))
-    x1, x2 = grids(128)
-    z = np.zeros(129)
-    with pytest.raises(DomainError, match="state grid"):
-        backstepping_transform(fs(x1, z, z), fs(x2, z, z), t1, t2, net, ops)
-
-
-def test_scaled_state_rejected(net, tables):
-    # the tables act on w-tilde; a w-bar state is a representation error
-    t1, t2 = tables(64)
-    x1, x2 = grids(64)
-    z = np.zeros(65)
-    scaled = FieldState(x1, z, z, SCALED)
-    with pytest.raises(RepresentationError, match="expected Riemann state"):
-        backstepping_transform(scaled, fs(x2, z, z), t1, t2, net)
-    with pytest.raises(RepresentationError, match="expected Riemann state"):
-        control_input(fs(x1, z, z), FieldState(x2, z, z, SCALED), t1, t2, net)
-
-
-def test_operators_must_match_their_tables(net, tables):
-    t1, t2 = tables(64)
-    x1, x2 = grids(64)
-    a, b = np.sin(x1 / 300.0), np.cos(x2 / 500.0)
-    ops = sg.FeedbackOperators(t1, t2, net, x1, x2)
-    plain = backstepping_transform(fs(x1, a, b), fs(x2, b, a), t1, t2, net)
-    reused = backstepping_transform(fs(x1, a, b), fs(x2, b, a), t1, t2, net, ops)
-    assert np.array_equal(plain.beta1, reused.beta1)
-    assert np.array_equal(plain.beta2, reused.beta2)
-    other = sg.FeedbackOperators(*tables(128), net, *grids(128))
-    with pytest.raises(DomainError, match="other tables"):
-        backstepping_transform(fs(x1, a, b), fs(x2, b, a), t1, t2, net, other)
+    with pytest.raises(DomainError, match="segment 1, segment 2"):
+        sg.FeedbackOperators(t2, t1, net, *grids(64))
 
 
 def test_manufactured_integral_against_fine_quadrature(net, tables):
     # constant w-tilde on segment 1 turns beta1 into minus the row integral
     # of K^vw; re-integrate the interpolated rows on a 10x finer grid
     t1, t2 = tables(64)
-    x1, x2 = grids(64)
     one, z = np.ones(65), np.zeros(65)
-    tar = backstepping_transform(fs(x1, one, z), fs(x2, z, z), t1, t2, net)
+    tar = transform(operators(tables(64), net, 64), one, z, z, z)
     for j in range(65):
         xs, kvw = t1.x[j:], t1.Kvw[j, j:]
         if xs.size < 2:
@@ -219,9 +196,8 @@ def test_manufactured_integral_against_fine_quadrature(net, tables):
 
 def test_control_input_manufactured(net, rows, tables):
     t1, t2 = tables(64)
-    x1, x2 = grids(64)
     one, z = np.ones(65), np.zeros(65)
-    u = control_input(fs(x1, z, z), fs(x2, one, z), t1, t2, net)
+    u = law(operators(tables(64), net, 64), z, z, one, z)
     xs, kvw = t2.x, t2.Kvw[t2.M, :]
     f = np.linspace(xs[0], xs[-1], 8001)
     want = np.trapezoid(np.interp(f, xs, kvw), f) / rows.g_control
@@ -229,34 +205,31 @@ def test_control_input_manufactured(net, rows, tables):
 
 
 def test_transform_and_feedback_are_linear(net, tables, rng):
-    t1, t2 = tables(64)
-    x1, x2 = grids(64)
+    ops = operators(tables(64), net, 64)
     a1, b1, a2, b2 = (rng.standard_normal(65) for _ in range(4))
     s = 0.37
-    full = backstepping_transform(fs(x1, a1, b1), fs(x2, a2, b2), t1, t2, net)
-    part = backstepping_transform(
-        fs(x1, s * a1, s * b1), fs(x2, s * a2, s * b2), t1, t2, net
-    )
+    full = transform(ops, a1, b1, a2, b2)
+    part = transform(ops, s * a1, s * b1, s * a2, s * b2)
     assert np.abs(part.beta1 - s * full.beta1).max() < 1e-12
     assert np.abs(part.beta2 - s * full.beta2).max() < 1e-12
-    uf = control_input(fs(x1, a1, b1), fs(x2, a2, b2), t1, t2, net)
-    up = control_input(fs(x1, s * a1, s * b1), fs(x2, s * a2, s * b2), t1, t2, net)
+    uf = law(ops, a1, b1, a2, b2)
+    up = law(ops, s * a1, s * b1, s * a2, s * b2)
     assert up == pytest.approx(s * uf, rel=1e-12, abs=1e-12)
 
 
 def test_volterra_inversion_by_fixed_point(net, tables):
     # the transform is invertible: holding w-tilde fixed and iterating
     # v <- v + (beta_target - beta(v)) recovers the original v fields
-    t1, t2 = tables(256)
+    ops = operators(tables(256), net, 256)
     x1, x2 = grids(256)
     w1 = np.sin(2 * np.pi * x1 / L) + 0.3
     v1 = 0.7 * np.cos(np.pi * x1 / L)
     w2 = np.cos(2 * np.pi * x2 / L)
     v2 = 0.5 * np.sin(np.pi * x2 / L)
-    tar = backstepping_transform(fs(x1, w1, v1), fs(x2, w2, v2), t1, t2, net)
+    tar = transform(ops, w1, v1, w2, v2)
     g1, g2 = np.zeros(257), np.zeros(257)
     for _ in range(60):
-        cur = backstepping_transform(fs(x1, w1, g1), fs(x2, w2, g2), t1, t2, net)
+        cur = transform(ops, w1, g1, w2, g2)
         g1 = g1 + (tar.beta1 - cur.beta1)
         g2 = g2 + (tar.beta2 - cur.beta2)
     assert np.abs(g1 - v1).max() < 1e-8
@@ -274,53 +247,55 @@ def test_recorded_feedback_matches_recomputed(net, tables, window):
         record_every=16,
     )
     rec = run_linear(cfg, net, tb)
+    ops = operators(tb, net, 128)
     worst = 0.0
     for i in range(1, len(rec.times)):
         # the linear stepper records w-bar; the law reads w-tilde
-        u = control_input(
-            unscale_w(FieldState(rec.grid1, rec.wbar1[i], rec.vtil1[i], SCALED), net.ss1, net.seg1),
-            unscale_w(FieldState(rec.grid2, rec.wbar2[i], rec.vtil2[i], SCALED), net.ss2, net.seg2),
-            tb[0],
-            tb[1],
-            net,
-        )
+        u = law(ops, unscale_w(rec.grid1, rec.wbar1[i], net.ss1, net.seg1), rec.vtil1[i],
+                unscale_w(rec.grid2, rec.wbar2[i], net.ss2, net.seg2), rec.vtil2[i])
         worst = max(worst, abs(u - rec.u0[i]))
     assert worst < 1e-12
 
 
-def _assert_nonlinear_u0_is_the_public_law(net, tb, ic, t_final):
-    # the stepper evaluates U0 on bare arrays; it must be the same number,
-    # bit for bit, as the public law on the recorded state of that step
+def _assert_nonlinear_u0_is_the_public_law(net, tb, ic, t_final, monkeypatch):
+    # the stepper evaluates U0 through sim.control_input on every step; the
+    # recorded U0 must be the law's output, bit for bit, and the law's
+    # output on the recorded state of that step
+    outputs = []
+
+    def spy(ops, wt, vt):
+        outputs.append(control_input(ops, wt, vt))
+        return outputs[-1]
+
+    monkeypatch.setattr(sg.sim, "control_input", spy)
     cfg = sg.SimConfig(
         t_final=t_final, N=64, loop_mode="closed", model="nonlinear", ic=ic, record_every=1
     )
     rec = run_nonlinear(cfg, net, tb)
     # rec.u0[k + 1] is the input applied over step k, on record k's state
-    assert len(rec.times) - 1 == rec.n_steps
+    assert len(rec.times) - 1 == rec.n_steps == len(outputs)
     assert np.any(rec.u0[1:] != 0.0)
+    assert rec.u0[1:].tolist() == outputs
+    ops = sg.FeedbackOperators(*tb, net, rec.grid1, rec.grid2)
     for k, u in enumerate(rec.u0[1:]):
-        want = control_input(
-            to_riemann(FieldState(rec.grid1, rec.rho1[k], rec.v1[k], PHYSICAL), net.ss1, net.seg1),
-            to_riemann(FieldState(rec.grid2, rec.rho2[k], rec.v2[k], PHYSICAL), net.ss2, net.seg2),
-            tb[0],
-            tb[1],
-            net,
-        )
-        assert u == want, k
+        (w1, v1), (w2, v2) = (to_riemann(rho[k], v[k], ss, seg) for rho, v, ss, seg in (
+            (rec.rho1, rec.v1, net.ss1, net.seg1), (rec.rho2, rec.v2, net.ss2, net.seg2)))
+        assert u == law(ops, w1, v1, w2, v2), k
 
 
-def test_nonlinear_u0_is_the_public_law_on_every_record(net, tables, window):
+def test_nonlinear_u0_is_the_public_law_on_every_record(net, tables, window, monkeypatch):
     ic = sg.ICSpec(eps=0.05, phase1=0.4, phase2=1.3)
-    _assert_nonlinear_u0_is_the_public_law(net, tables(64), ic, 0.1 * window)
+    _assert_nonlinear_u0_is_the_public_law(net, tables(64), ic, 0.1 * window, monkeypatch)
 
 
-def test_nonlinear_u0_is_the_public_law_on_the_gamma_network(gamma_net):
+def test_nonlinear_u0_is_the_public_law_on_the_gamma_network(gamma_net, monkeypatch):
     # the segments differ in gamma, rho_max and tau here, so a row handed to
     # the law from the other segment cannot agree with the record
     net = gamma_net
     tb = (solve_kernels(1, net, M=64), solve_kernels(2, net, M=64))
     ic = sg.ICSpec(eps=0.02, phase1=0.4, phase2=4.3)
-    _assert_nonlinear_u0_is_the_public_law(net, tb, ic, 0.1 * (net.ss1.kappa + net.ss2.kappa))
+    _assert_nonlinear_u0_is_the_public_law(net, tb, ic, 0.1 * (net.ss1.kappa + net.ss2.kappa),
+                                           monkeypatch)
 
 
 def test_target_needs_enough_samples(net, tables):

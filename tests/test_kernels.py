@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,8 +262,26 @@ def test_residual_matches_row_loop(net, tables):
         for tb in tables(M):
             assert kernel_residual(tb, net) == _kernel_residual_by_rows(tb, net)
             bump = np.sin(np.add.outer(tb.x, 2.0 * tb.x) / 700.0) * 1e-5
-            tb = dataclasses.replace(tb, Kvw=tb.Kvw + bump, Kvv=tb.Kvv - bump.T)
+            # a copy with the dense tables set: they are built on first read
+            bumped = dataclasses.replace(tb)
+            bumped.Kvw, bumped.Kvv = tb.Kvw + bump, tb.Kvv - bump.T
+            tb = bumped
             assert kernel_residual(tb, net) == _kernel_residual_by_rows(tb, net)
+
+
+def test_dense_tables_are_built_on_first_read(net):
+    # the closed-loop runs read only D, so solving allocates no (M+1)^2
+    # array; one 2049^2 float array is 33.6 MB
+    M = 2048
+    tracemalloc.start()
+    try:
+        table = solve_kernels(1, net, M=M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.0 * (M + 1) ** 2
+    assert np.array_equal(table.Kvw, np.triu(np.full((M + 1, M + 1), table.D)))
+    assert table.Kvw is table.Kvw  # built once
 
 
 def test_save_table_writes_the_triangle(net, tables, tmp_path):

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 import stopngo as sg
-from stopngo.errors import DomainError, RepresentationError
+from stopngo.errors import DomainError
 from stopngo.model import congested_flux_root, pressure
 from stopngo.riemann import (
-    PHYSICAL,
-    RIEMANN,
-    SCALED,
-    FieldState,
     boundary_rows,
     coupling_coefficient,
-    riemann_arrays,
     riemann_law,
     riemann_law_params,
     scale_w,
@@ -32,10 +27,9 @@ def grid(net, sid, N=64):
 def test_steady_state_maps_to_zero(net):
     for sid, ss, seg in ((1, net.ss1, net.seg1), (2, net.ss2, net.seg2)):
         x = grid(net, sid)
-        phys = FieldState(x, np.full(x.size, ss.rho_star), np.full(x.size, ss.v_star), PHYSICAL)
-        riem = to_riemann(phys, ss, seg)
-        assert np.abs(riem.a).max() < 1e-12
-        assert np.abs(riem.b).max() < 1e-12
+        wt, vt = to_riemann(np.full(x.size, ss.rho_star), np.full(x.size, ss.v_star), ss, seg)
+        assert np.abs(wt).max() < 1e-12
+        assert np.abs(vt).max() < 1e-12
 
 
 def test_unit_velocity_bump_worked_value(net):
@@ -44,10 +38,9 @@ def test_unit_velocity_bump_worked_value(net):
     # w-tilde = (gamma p*/v*) - 1/r = 1 exactly
     ss, seg = net.ss2, net.seg2
     x = grid(net, 2, 4)
-    phys = FieldState(x, np.full(x.size, ss.rho_star), np.full(x.size, ss.v_star + 1.0), PHYSICAL)
-    riem = to_riemann(phys, ss, seg)
-    assert np.abs(riem.b - 1.0).max() < 1e-13
-    assert riem.a[0] == pytest.approx(1.0, rel=1e-12)
+    wt, vt = to_riemann(np.full(x.size, ss.rho_star), np.full(x.size, ss.v_star + 1.0), ss, seg)
+    assert np.abs(vt - 1.0).max() < 1e-13
+    assert wt[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_to_riemann_is_affine(net, rng):
@@ -61,11 +54,11 @@ def test_to_riemann_is_affine(net, rng):
     def state(scale):
         v = ss.v_star + scale * dv
         rho = (ss.q_star + scale * dq) / v
-        return to_riemann(FieldState(x, rho, v, PHYSICAL), ss, seg)
+        return to_riemann(rho, v, ss, seg)
 
-    full, half = state(1.0), state(0.5)
-    assert np.abs(half.a - 0.5 * full.a).max() < 1e-12 * max(1.0, np.abs(full.a).max())
-    assert np.abs(half.b - 0.5 * full.b).max() < 1e-13 * max(1.0, np.abs(full.b).max())
+    (fw, fv), (hw, hv) = state(1.0), state(0.5)
+    assert np.abs(hw - 0.5 * fw).max() < 1e-12 * max(1.0, np.abs(fw).max())
+    assert np.abs(hv - 0.5 * fv).max() < 1e-13 * max(1.0, np.abs(fv).max())
 
 
 def test_round_trips_random_states(net, rng):
@@ -74,62 +67,43 @@ def test_round_trips_random_states(net, rng):
         for _ in range(20):
             rho = ss.rho_star * (1.0 + 0.2 * rng.uniform(-1, 1, x.size))
             v = ss.v_star * (1.0 + 0.2 * rng.uniform(-1, 1, x.size))
-            phys = FieldState(x, rho, v, PHYSICAL)
-            riem = to_riemann(phys, ss, seg)
-            back = from_riemann(riem, ss, seg)
-            assert np.abs(back.a - rho).max() < 1e-12 * np.abs(rho).max()
-            assert np.abs(back.b - v).max() < 1e-12 * np.abs(v).max()
-            scaled = scale_w(riem, ss, seg)
-            again = unscale_w(scaled, ss, seg)
-            assert np.abs(again.a - riem.a).max() <= 1e-12 * max(1.0, np.abs(riem.a).max())
-            assert np.array_equal(again.b, riem.b)
+            wt, vt = to_riemann(rho, v, ss, seg)
+            back_rho, back_v = from_riemann(wt, vt, ss, seg)
+            assert np.abs(back_rho - rho).max() < 1e-12 * np.abs(rho).max()
+            assert np.abs(back_v - v).max() < 1e-12 * np.abs(v).max()
+            again = unscale_w(x, scale_w(x, wt, ss, seg), ss, seg)
+            assert np.abs(again - wt).max() <= 1e-12 * max(1.0, np.abs(wt).max())
 
 
 def test_from_riemann_zero_is_steady(net):
     ss, seg = net.ss2, net.seg2
     x = grid(net, 2)
-    phys = from_riemann(FieldState(x, np.zeros(x.size), np.zeros(x.size), RIEMANN), ss, seg)
-    assert np.abs(phys.a - ss.rho_star).max() < 1e-14
-    assert np.abs(phys.b - ss.v_star).max() < 1e-14
+    rho, v = from_riemann(np.zeros(x.size), np.zeros(x.size), ss, seg)
+    assert np.abs(rho - ss.rho_star).max() < 1e-14
+    assert np.abs(v - ss.v_star).max() < 1e-14
 
 
 def test_from_riemann_guards_vacuum_velocity(net):
     ss, seg = net.ss1, net.seg1
     x = grid(net, 1, 4)
-    riem = FieldState(x, np.zeros(x.size), np.full(x.size, -ss.v_star), RIEMANN)
     with pytest.raises(DomainError):
-        from_riemann(riem, ss, seg)
-
-
-def test_representation_tags_enforced(net):
-    ss, seg = net.ss1, net.seg1
-    x = grid(net, 1, 4)
-    riem = FieldState(x, np.zeros(x.size), np.zeros(x.size), RIEMANN)
-    with pytest.raises(RepresentationError):
-        to_riemann(riem, ss, seg)
-    phys = FieldState(x, np.full(x.size, ss.rho_star), np.full(x.size, ss.v_star), PHYSICAL)
-    with pytest.raises(RepresentationError):
-        scale_w(phys, ss, seg)
+        from_riemann(np.zeros(x.size), np.full(x.size, -ss.v_star), ss, seg)
 
 
 def test_scale_factor_outlet(net):
     ss, seg = net.ss1, net.seg1
     x = grid(net, 1)
-    riem = FieldState(x, np.ones(x.size), np.zeros(x.size), RIEMANN)
-    scaled = scale_w(riem, ss, seg)
-    assert scaled.a[0] == 1.0  # x = 0 unchanged
+    wbar = scale_w(x, np.ones(x.size), ss, seg)
+    assert wbar[0] == 1.0  # x = 0 unchanged
     factor = np.exp(seg.length / (seg.tau * ss.v_star))
-    assert scaled.a[-1] == pytest.approx(factor, rel=1e-13)
+    assert wbar[-1] == pytest.approx(factor, rel=1e-13)
     assert factor == pytest.approx(3.818, abs=5e-3)
-    assert np.array_equal(scaled.b, riem.b)
 
 
 def test_scale_zero_stays_zero(net):
     ss, seg = net.ss2, net.seg2
     x = grid(net, 2)
-    scaled = scale_w(FieldState(x, np.zeros(x.size), np.ones(x.size), RIEMANN), ss, seg)
-    assert np.all(scaled.a == 0.0)
-    assert scaled.rep == SCALED
+    assert np.all(scale_w(x, np.zeros(x.size), ss, seg) == 0.0)
 
 
 def test_coupling_coefficient_values(net):
@@ -255,7 +229,7 @@ def test_boundary_rows_are_jacobian_of_plant_algebra(net, gamma_net, which):
 @pytest.mark.parametrize("spread", [1, 65])
 def test_stacked_riemann_law_matches_the_map_row_by_row(net, gamma_net, which, spread, rng):
     # the stepper maps both segments at once with the parameters as (2, 1)
-    # columns or full rows; each row must be the per-segment riemann_arrays,
+    # columns or full rows; each row must be the per-segment to_riemann,
     # bit for bit
     if which == "gamma":
         net = gamma_net
@@ -266,7 +240,7 @@ def test_stacked_riemann_law_matches_the_map_row_by_row(net, gamma_net, which, s
               for a, b in zip(*(riemann_law_params(*p) for p in pairs))]
     wt, vt = riemann_law(rho * v, v, *params)
     for i, (ss, params) in enumerate(pairs):
-        want_w, want_v = riemann_arrays(rho[i], v[i], ss, params)
+        want_w, want_v = to_riemann(rho[i], v[i], ss, params)
         assert np.array_equal(wt[i], want_w)
         assert np.array_equal(vt[i], want_v)
 

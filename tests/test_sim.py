@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import stopngo as sg
-from stopngo.control import backstepping_transform, trap_weights
+from stopngo.control import backstepping_transform, control_input, trap_weights
 from stopngo.errors import DomainError, SimulationError
 from stopngo.model import equilibrium_velocity, pressure
 from stopngo.riemann import (
-    PHYSICAL,
-    SCALED,
-    FieldState,
     boundary_rows,
     coupling_coefficient,
     physical_arrays,
-    riemann_arrays,
     scale_factor,
     scale_w,
     to_riemann,
@@ -26,7 +22,6 @@ from stopngo.riemann import (
 from stopngo.sim import (
     RHO_FLOOR,
     _Recorder,
-    _table_operators,
     boundary_fluxes,
     export_norms_csv,
     export_states_csv,
@@ -52,33 +47,33 @@ def test_config_validation():
 
 
 def test_initial_condition_zero_amplitude(net):
-    p1, p2 = initial_condition(sg.ICSpec(eps=0.0), net, 64)
-    assert np.abs(p1.a - net.ss1.rho_star).max() == 0.0
-    assert np.abs(p2.b - net.ss2.v_star).max() == 0.0
-    assert p1.rep == PHYSICAL
+    (rho1, v1), (rho2, v2) = initial_condition(sg.ICSpec(eps=0.0), net, 64)
+    assert np.abs(rho1 - net.ss1.rho_star).max() == 0.0
+    assert np.abs(v2 - net.ss2.v_star).max() == 0.0
+    assert rho1.shape == v1.shape == rho2.shape == v2.shape == (65,)
 
 
 def test_initial_condition_extrema(net):
     # k = 1 puts the crest exactly on the quarter node
-    p1, p2 = initial_condition(sg.ICSpec(eps=0.1, k1=1, k2=1), net, 256)
-    assert p1.a.max() == pytest.approx(net.ss1.rho_star * 1.1, rel=1e-13)
-    assert p1.a.min() == pytest.approx(net.ss1.rho_star * 0.9, rel=1e-13)
-    assert p2.a.max() == pytest.approx(net.ss2.rho_star * 1.1, rel=1e-13)
+    (rho1, v1), (rho2, v2) = initial_condition(sg.ICSpec(eps=0.1, k1=1, k2=1), net, 256)
+    assert rho1.max() == pytest.approx(net.ss1.rho_star * 1.1, rel=1e-13)
+    assert rho1.min() == pytest.approx(net.ss1.rho_star * 0.9, rel=1e-13)
+    assert rho2.max() == pytest.approx(net.ss2.rho_star * 1.1, rel=1e-13)
     # speeds stay on the equilibrium curve
-    assert np.abs(p1.b - equilibrium_velocity(p1.a, net.seg1)).max() < 1e-13
-    assert np.abs(p2.b - equilibrium_velocity(p2.a, net.seg2)).max() < 1e-13
+    assert np.abs(v1 - equilibrium_velocity(rho1, net.seg1)).max() < 1e-13
+    assert np.abs(v2 - equilibrium_velocity(rho2, net.seg2)).max() < 1e-13
 
 
 def test_initial_condition_junction_compatible(net):
     # zero phase makes the sine vanish at x = 0 on both segments, so flux
     # continuity and driver-property continuity hold there exactly
-    p1, p2 = initial_condition(sg.ICSpec(eps=0.2, k1=3, k2=2), net, 128)
-    q1 = p1.a[0] * p1.b[0]
-    q2 = p2.a[-1] * p2.b[-1]
+    (rho1, v1), (rho2, v2) = initial_condition(sg.ICSpec(eps=0.2, k1=3, k2=2), net, 128)
+    q1 = rho1[0] * v1[0]
+    q2 = rho2[-1] * v2[-1]
     assert q1 == pytest.approx(q2, rel=1e-13)
     assert q1 == pytest.approx(net.ss1.q_star, rel=1e-13)
-    w1 = p1.b[0] + pressure(p1.a[0], net.seg1)
-    w2 = p2.b[-1] + pressure(p2.a[-1], net.seg2)
+    w1 = v1[0] + pressure(rho1[0], net.seg1)
+    w2 = v2[-1] + pressure(rho2[-1], net.seg2)
     assert w1 == pytest.approx(w2, rel=1e-14)
 
 
@@ -253,10 +248,10 @@ def test_density_pushed_above_rho_max_raises(net, window, monkeypatch):
     # traffic; the first flux update piles density above rho_max, and the
     # pressure evaluation on the post-flux state must reject it
     def pile_up(ic, net, N):
-        p1, p2 = initial_condition(ic, net, N)
-        rho = np.full(p1.grid.size, 0.99 * net.seg1.rho_max)
-        v = np.where(p1.grid < 0.5 * net.seg1.length, 20.0, 1.0)
-        return dataclasses.replace(p1, a=rho, b=v), p2
+        x = np.linspace(0.0, net.seg1.length, N + 1)
+        rho = np.full(N + 1, 0.99 * net.seg1.rho_max)
+        v = np.where(x < 0.5 * net.seg1.length, 20.0, 1.0)
+        return (rho, v), initial_condition(ic, net, N)[1]
 
     monkeypatch.setattr(sg.sim, "initial_condition", pile_up)
     cfg = sg.SimConfig(
@@ -271,10 +266,10 @@ def test_segment_2_density_pushed_above_rho_max_raises(net, window, monkeypatch)
     # the twin of the test above in segment 2: the stacked range check must
     # name the offending segment's rho_max (0.8), not segment 1's
     def pile_up(ic, net, N):
-        p1, p2 = initial_condition(ic, net, N)
-        rho = np.full(p2.grid.size, 0.99 * net.seg2.rho_max)
-        v = np.where(p2.grid < -0.5 * net.seg2.length, 20.0, 1.0)
-        return p1, dataclasses.replace(p2, a=rho, b=v)
+        x = np.linspace(-net.seg2.length, 0.0, N + 1)
+        rho = np.full(N + 1, 0.99 * net.seg2.rho_max)
+        v = np.where(x < -0.5 * net.seg2.length, 20.0, 1.0)
+        return initial_condition(ic, net, N)[0], (rho, v)
 
     monkeypatch.setattr(sg.sim, "initial_condition", pile_up)
     cfg = sg.SimConfig(
@@ -288,10 +283,9 @@ def test_segment_2_density_pushed_above_rho_max_raises(net, window, monkeypatch)
 def test_regime_exit_names_segment_2(net, window, monkeypatch):
     # a stopped node in segment 2 only; segment 1 is a valid congested state
     def stalled(ic, net, N):
-        p1, p2 = initial_condition(ic, net, N)
-        v = p2.b.copy()
-        v[N // 2] = 0.0
-        return p1, dataclasses.replace(p2, b=v)
+        p1, (rho2, v2) = initial_condition(ic, net, N)
+        v2[N // 2] = 0.0
+        return p1, (rho2, v2)
 
     monkeypatch.setattr(sg.sim, "initial_condition", stalled)
     cfg = sg.SimConfig(
@@ -308,10 +302,9 @@ def test_nan_density_is_caught_by_the_finiteness_check(net, window, monkeypatch)
     # a NaN fails every min/any comparison, so the range and regime checks
     # let it through; the finiteness check after the first step stops it
     def poisoned(ic, net, N):
-        p1, p2 = initial_condition(ic, net, N)
-        rho = p1.a.copy()
-        rho[N // 2] = np.nan
-        return dataclasses.replace(p1, a=rho), p2
+        (rho1, v1), p2 = initial_condition(ic, net, N)
+        rho1[N // 2] = np.nan
+        return (rho1, v1), p2
 
     monkeypatch.setattr(sg.sim, "initial_condition", poisoned)
     cfg = sg.SimConfig(
@@ -324,10 +317,9 @@ def test_nan_density_is_caught_by_the_finiteness_check(net, window, monkeypatch)
 
 def test_density_at_the_floor_leaves_the_congested_regime(net, window, monkeypatch):
     def thinned(ic, net, N):
-        p1, p2 = initial_condition(ic, net, N)
-        rho = p1.a.copy()
-        rho[N // 3] = RHO_FLOOR
-        return dataclasses.replace(p1, a=rho), p2
+        (rho1, v1), p2 = initial_condition(ic, net, N)
+        rho1[N // 3] = RHO_FLOOR
+        return (rho1, v1), p2
 
     monkeypatch.setattr(sg.sim, "initial_condition", thinned)
     cfg = sg.SimConfig(
@@ -348,12 +340,12 @@ def test_records_do_not_alias_the_work_buffers(net, tables, window):
         ic=sg.ICSpec(eps=0.05, phase1=0.4), record_every=1,
     )
     rec = run_nonlinear(cfg, net, tables(64))
-    p1, p2 = initial_condition(cfg.ic, net, cfg.N)
+    (rho1, v1), (rho2, v2) = initial_condition(cfg.ic, net, cfg.N)
     assert rec.n_steps > 10
-    assert np.array_equal(rec.rho1[0], p1.a)
-    assert np.array_equal(rec.v1[0], p1.b)
-    assert np.array_equal(rec.rho2[0], p2.a)
-    assert np.array_equal(rec.v2[0], p2.b)
+    assert np.array_equal(rec.rho1[0], rho1)
+    assert np.array_equal(rec.v1[0], v1)
+    assert np.array_equal(rec.rho2[0], rho2)
+    assert np.array_equal(rec.v2[0], v2)
 
 
 @pytest.mark.filterwarnings("error")
@@ -481,8 +473,8 @@ def test_grid_gaps_shrink_from_coarse_grid(net, window, monkeypatch):
     def held_speed(ic, net, N):
         grids.append(N)
         return tuple(
-            dataclasses.replace(p, b=np.full(p.grid.size, ss.v_star))
-            for p, ss in zip(initial_condition(ic, net, N), (net.ss1, net.ss2))
+            (rho, np.full(N + 1, ss.v_star))
+            for (rho, _), ss in zip(initial_condition(ic, net, N), (net.ss1, net.ss2))
         )
 
     monkeypatch.setattr(sg.sim, "initial_condition", held_speed)
@@ -571,9 +563,8 @@ def _per_segment_reference(cfg, net, tables=None):
     x1, x2 = np.linspace(0.0, seg1.length, N + 1), np.linspace(-seg1.length, 0.0, N + 1)
     ops = sg.FeedbackOperators(*tables, net, x1, x2) if tables else None
     wc = trap_weights(N + 1, h)
-    phys1, phys2 = initial_condition(cfg.ic, net, N)
-    rho = [phys1.a.copy(), phys2.a.copy()]
-    v = [phys1.b.copy(), phys2.b.copy()]
+    (rho1, v1), (rho2, v2) = initial_condition(cfg.ic, net, N)
+    rho, v = [rho1, rho2], [v1, v2]
     p = [pressure(r, s) for r, s in zip(rho, (seg1, seg2))]
     y = [r * (vv + pp) for r, vv, pp in zip(rho, v, p)]
     mass, mass_err = float(wc @ rho[0] + wc @ rho[1]), 0.0
@@ -584,8 +575,11 @@ def _per_segment_reference(cfg, net, tables=None):
              for vv, pp, s in zip(v, p, (seg1, seg2))]
         dt = min(cfg.cfl * (0.5 * h) / max(float(a[0].max()), float(a[1].max())),
                  cfg.t_final - t)
-        u0 = ops.u0(*riemann_arrays(rho[0], v[0], net.ss1, seg1),
-                    *riemann_arrays(rho[1], v[1], net.ss2, seg2)) if ops else 0.0
+        u0 = 0.0
+        if ops:
+            (w1t, v1t), (w2t, v2t) = (to_riemann(rho[0], v[0], net.ss1, seg1),
+                                      to_riemann(rho[1], v[1], net.ss2, seg2))
+            u0 = control_input(ops, np.stack((w1t, w2t)), np.stack((v1t, v2t)))
         (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = _reference_boundary_fluxes(
             rho[0], v[0], rho[1], v[1], u0, net)
         ends = (((q1J, q1J * w1J), (q_out, q_out * w_out)),
@@ -629,38 +623,38 @@ def test_stacked_stepper_matches_per_segment_reference(net, gamma_net, which, lo
     assert rec.mass_err == mass_err
 
 
-def _per_record_reference(rec, net, tables, rep):
+def _per_record_reference(rec, net, tables, physical):
     """Every derived field and target state of ``rec``, built one record at a
     time from the rows the stepper holds: to_riemann and scale_w from
     (rho, v), or unscale_w and the affine inverse from (w-bar, v-tilde); each
     record's trapezoid norm and L-infinity deviation; one transform per
-    record, on copies of the grids so that the operators compare them."""
-    grids = (rec.grid1.copy(), rec.grid2.copy())
+    record, on one-row blocks."""
+    grids = (rec.grid1, rec.grid2)
     ops = sg.FeedbackOperators(*tables, net, *grids) if tables else None
     cols, targets = {}, []
     for k in range(len(rec.times)):
         riem = []
         for i, (x, ss, seg) in enumerate(zip(grids, (net.ss1, net.ss2), (net.seg1, net.seg2))):
             n = str(i + 1)
-            if rep == PHYSICAL:
-                phys = FieldState(x, getattr(rec, "rho" + n)[k], getattr(rec, "v" + n)[k], PHYSICAL)
-                ri = to_riemann(phys, ss, seg)
-                sc = scale_w(ri, ss, seg)
+            if physical:
+                rho, v = getattr(rec, "rho" + n)[k], getattr(rec, "v" + n)[k]
+                wt, vt = to_riemann(rho, v, ss, seg)
+                wbar = scale_w(x, wt, ss, seg)
             else:
-                sc = FieldState(x, getattr(rec, "wbar" + n)[k], getattr(rec, "vtil" + n)[k], SCALED)
-                ri = unscale_w(sc, ss, seg)
-                phys = FieldState(x, *physical_arrays(ri.a, ri.b, ss, seg), PHYSICAL)
-            riem.append(ri)
+                wbar, vt = getattr(rec, "wbar" + n)[k], getattr(rec, "vtil" + n)[k]
+                wt = unscale_w(x, wbar, ss, seg)
+                rho, v = physical_arrays(wt, vt, ss, seg)
+            riem += wt[None], vt[None]
             row = {
-                "rho": phys.a, "v": phys.b, "wbar": sc.a, "vtil": sc.b,
-                "norm": float(np.sqrt(np.trapezoid(sc.a * sc.a + sc.b * sc.b, x))),
-                "linf": max(float(np.max(np.abs(phys.a - ss.rho_star))) / ss.rho_star,
-                            float(np.max(np.abs(phys.b - ss.v_star))) / ss.v_star),
+                "rho": rho, "v": v, "wbar": wbar, "vtil": vt,
+                "norm": float(np.sqrt(np.trapezoid(wbar * wbar + vt * vt, x))),
+                "linf": max(float(np.max(np.abs(rho - ss.rho_star))) / ss.rho_star,
+                            float(np.max(np.abs(v - ss.v_star))) / ss.v_star),
             }
             for key, value in row.items():
                 cols.setdefault(key + n, []).append(value)
         if ops is not None:
-            targets.append(backstepping_transform(*riem, *tables, net, ops))
+            targets += backstepping_transform(ops, *riem)
     return {k: np.array(v) for k, v in cols.items()}, targets if ops is not None else None
 
 
@@ -689,9 +683,7 @@ def test_batched_record_matches_per_record_derivation(
     assume(record_every == 1 or rec.n_steps % record_every)
     assert len(rec.times) == rec.n_steps // record_every + 1 + (record_every > 1)
     assert rec.times[-1] == cfg.t_final
-    fields, targets = _per_record_reference(
-        rec, net, tb, PHYSICAL if model == "nonlinear" else SCALED
-    )
+    fields, targets = _per_record_reference(rec, net, tb, model == "nonlinear")
     assert len(fields) == 12
     for key, want in fields.items():
         got = getattr(rec, key)
@@ -703,14 +695,14 @@ def test_batched_record_matches_per_record_derivation(
             assert np.array_equal(getattr(got, key), value), key
     # the first record still holds the initial condition: no record aliases
     # a stepper buffer
-    p1, p2 = initial_condition(ic, net, cfg.N)
+    (rho1, v1), (rho2, v2) = initial_condition(ic, net, cfg.N)
     if model == "nonlinear":
-        assert np.array_equal(rec.rho1[0], p1.a) and np.array_equal(rec.rho2[0], p2.a)
-        assert np.array_equal(rec.v1[0], p1.b) and np.array_equal(rec.v2[0], p2.b)
+        assert np.array_equal(rec.rho1[0], rho1) and np.array_equal(rec.rho2[0], rho2)
+        assert np.array_equal(rec.v1[0], v1) and np.array_equal(rec.v2[0], v2)
     else:
-        for got, phys, ss, seg in ((rec.wbar1[0], p1, net.ss1, net.seg1),
-                                   (rec.wbar2[0], p2, net.ss2, net.seg2)):
-            assert np.array_equal(got, scale_w(to_riemann(phys, ss, seg), ss, seg).a)
+        for got, x, rho, v, ss, seg in ((rec.wbar1[0], rec.grid1, rho1, v1, net.ss1, net.seg1),
+                                        (rec.wbar2[0], rec.grid2, rho2, v2, net.ss2, net.seg2)):
+            assert np.array_equal(got, scale_w(x, to_riemann(rho, v, ss, seg)[0], ss, seg))
 
 
 def _reference_run_linear(cfg, net, tables=None):
@@ -725,12 +717,11 @@ def _reference_run_linear(cfg, net, tables=None):
     h = L / N
     x1 = np.linspace(0.0, L, N + 1)
     x2 = np.linspace(-L, 0.0, N + 1)
-    ops = _table_operators(tables, net, x1, x2)
-    phys1, phys2 = initial_condition(cfg.ic, net, N)
-    s1 = scale_w(to_riemann(phys1, ss1, seg1), ss1, seg1)
-    s2 = scale_w(to_riemann(phys2, ss2, seg2), ss2, seg2)
-    w1, v1 = s1.a.copy(), s1.b.copy()
-    w2, v2 = s2.a.copy(), s2.b.copy()
+    ops = sg.FeedbackOperators(*tables, net, x1, x2) if tables else None
+    (rho1, u1), (rho2, u2) = initial_condition(cfg.ic, net, N)
+    w1, v1 = to_riemann(rho1, u1, ss1, seg1)
+    w2, v2 = to_riemann(rho2, u2, ss2, seg2)
+    w1, w2 = scale_w(x1, w1, ss1, seg1), scale_w(x2, w2, ss2, seg2)
     c1 = coupling_coefficient(x1, ss1, seg1)
     c2 = coupling_coefficient(x2, ss2, seg2)
     rows = boundary_rows(net)
@@ -742,7 +733,7 @@ def _reference_run_linear(cfg, net, tables=None):
         k2wN = ops.D2 * ops.trap2 * scale_factor(-x2, ss2, seg2)
         denom = 1.0 - k2vN[N]
         trace_t, trace_b2 = [], []
-    rec = _Recorder(net, x1, x2, SCALED, tables, ops)
+    rec = _Recorder(net, x1, x2, ops, physical=False)
     rec.push(0.0, 0.0, np.concatenate((w1, v1, w2, v2)))
     t, step, u0 = 0.0, 0, 0.0
     while t < cfg.t_final - 1e-9 * dt0:
@@ -898,12 +889,10 @@ def test_boundary_algebra_matches_pressure_reference(net, gamma_net, which, scal
 def _junction_trace(index, value):
     """Initial data with one trace velocity replaced: (segment, node)."""
     def patched(ic, net, N):
-        phys = list(initial_condition(ic, net, N))
+        phys = initial_condition(ic, net, N)
         seg, node = index
-        v = phys[seg].b.copy()
-        v[node] = value
-        phys[seg] = dataclasses.replace(phys[seg], b=v)
-        return tuple(phys)
+        phys[seg][1][node] = value
+        return phys
     return patched
 
 
@@ -921,9 +910,8 @@ def test_boundary_errors_keep_step_and_message(net, tables, window, monkeypatch,
         message = r"junction density 1\.0083 outside \(0, rho_max\) at step 0$"
     elif case == "ramp":  # a feedback law 500 times too strong
         loop = "closed"
-        law = sg.FeedbackOperators.u0_stacked
-        monkeypatch.setattr(sg.FeedbackOperators, "u0_stacked",
-                            lambda self, flux, v: 500.0 * law(self, flux, v))
+        monkeypatch.setattr(sg.sim, "control_input",
+                            lambda ops, wt, vt: 500.0 * control_input(ops, wt, vt))
         message = (r"ramp input 19\.1467 veh/s exceeds the junction flux 5\.8956 veh/s "
                    r"at step 18; feasible U_0 < 5\.8956$")
     cfg = sg.SimConfig(t_final=window, N=64, loop_mode=loop, model="nonlinear",
