@@ -79,7 +79,7 @@ class BoundaryRows:
         junction : v2(0)  = g_t * v1(0) + g_a * w2(0) + g_control * U0
         inlet    : w2(-L) = g_inlet * v2(-L)
     They are the Jacobian of the boundary algebra the nonlinear plant
-    enforces (``sim.boundary_fluxes``): flux q* at the outlet and the inlet;
+    enforces (``sim.boundary_algebra``): flux q* at the outlet and the inlet;
     at the junction, continuity of w, the outgoing v1, and q1 = q2 + U0.
     With gamma p* = v* (1 + r)/r this gives
         g_outlet = -r1 e1,  g_inlet = -e2/r2,  g_junction_w = 1,

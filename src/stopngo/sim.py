@@ -189,6 +189,15 @@ class _Recorder:
                          target=target, **fields, **extra)
 
 
+def _feedback(cfg: SimConfig, net, tables, x1, x2, model):
+    """The feedback operators of a closed-loop run, None for an open one."""
+    closed = cfg.loop_mode == "closed"
+    if closed != (tables is not None):
+        raise DomainError(f"closed-loop {model} run requires kernel tables" if closed
+                          else f"open-loop {model} run takes no kernel tables")
+    return FeedbackOperators(*tables, net, x1, x2) if closed else None
+
+
 def run_linear(
     cfg: SimConfig,
     net: NetworkParams,
@@ -209,16 +218,14 @@ def run_linear(
     the boundary rows then overwrite the nodes where a difference spans two
     rows, and one finiteness check covers the whole state.
     """
-    closed = cfg.loop_mode == "closed"
-    if closed and tables is None:
-        raise DomainError("closed-loop linear run requires kernel tables")
     ss1, ss2, seg1, seg2 = net.ss1, net.ss2, net.seg1, net.seg2
     N = cfg.N
     M = N + 1  # nodes per row; node j of row r sits at r M + j
     L = seg1.length
     h = L / N
     x1, x2 = np.linspace(0.0, L, M), np.linspace(-L, 0.0, M)
-    ops = None if tables is None else FeedbackOperators(*tables, net, x1, x2)
+    ops = _feedback(cfg, net, tables, x1, x2, "linear")
+    closed = ops is not None
 
     (rho1, vel1), (rho2, vel2) = initial_condition(cfg.ic, net, N)
     wt1, vt1 = to_riemann(rho1, vel1, ss1, seg1)
@@ -242,7 +249,7 @@ def run_linear(
                 (buf[:M], buf[2 * M : 3 * M], buf[M : 2 * M], buf[3 * M :]))
 
     cur, nxt = views(S), views(S_next)
-    if ops is not None:
+    if closed:
         # the junction rows of the transform, K^vw = D_i and K^vv = -D_i
         # trapezoid-weighted; scale_factor of -x is exp(-x/(tau v*)), the map
         # from w-bar to w-tilde
@@ -252,8 +259,6 @@ def run_linear(
         # the junction row contains v2[N] inside its own quadrature; solve for it
         denom = 1.0 - k2vN[N]
         trace_t, trace_b2 = [], []
-    else:
-        trace_t = None
 
     rec = _Recorder(net, x1, x2, ops, physical=False)
 
@@ -298,59 +303,42 @@ def run_linear(
         step += 1
         if not np.isfinite(S).all():
             raise SimulationError(f"non-finite state at step {step}, t = {t:.3f} s")
-        if trace_t is not None:
-            if not closed:
-                i2 = float(k2wN @ w2 + k2vN @ v2)
+        if closed:
             trace_t.append(t)
             trace_b2.append(S[last] - i2)
         if step % cfg.record_every == 0 or t >= cfg.t_final - 1e-9 * dt0:
             snapshot(t, u0)
 
-    extra = {} if trace_t is None else dict(trace_times=np.asarray(trace_t),
-                                            trace_beta2=np.asarray(trace_b2))
+    extra = dict(trace_times=np.asarray(trace_t),
+                 trace_beta2=np.asarray(trace_b2)) if closed else {}
     return rec.finish(ss1.kappa + ss2.kappa, step, **extra)
 
 
-def boundary_fluxes(rho1, v1, rho2, v2, u0: float, net: NetworkParams, step: int = 0):
-    """Boundary algebra of the nonlinear plant, as (flux, w) at the four ends.
-
-    Returns the pairs for the junction end of segment 1, the outlet, the
-    inlet and the junction end of segment 2; each pair fixes the boundary
-    state through q = rho v and w = v + p(rho). Only outgoing invariants
-    enter: w rides out of segment 2 and v out of segment 1 at the junction,
-    where w is continuous and q1 = q2 + U0; the outer boundaries impose flux
-    q* on the incoming characteristic and extrapolate the outgoing invariant
-    at zeroth order. ``riemann.boundary_rows`` is the Jacobian of this map.
+def boundary_algebra(net: NetworkParams):
+    """Boundary algebra of the nonlinear plant, with the parameters read once
+    per run: a function of the four outgoing invariants (floats v1 at the
+    junction, w1 at the outlet, v2 at the inlet, w2 at the junction), U0 and
+    the step its errors name. It returns (flux, w) at the junction end of
+    segment 1, the outlet, the inlet and the junction end of segment 2, each
+    fixing a boundary state through q = rho v and w = v + p(rho): w is
+    continuous and q1 = q2 + U0 at the junction, and the outer ends impose q*
+    and extrapolate the outgoing invariant. ``riemann.boundary_rows`` is its
+    Jacobian. The junction density inverts the pressure unguarded, as its
+    argument is positive or NaN after the collapse check; only the inlet
+    ghost evaluates a pressure, with pressure()'s float arithmetic and guard.
     """
-    return _boundary_algebra(net)(float(v1[0]), float(rho1[-1]), float(v1[-1]),
-                                  float(v2[0]), float(rho2[-1]), float(v2[-1]), u0, step)
-
-
-def _boundary_algebra(net: NetworkParams):
-    """``boundary_fluxes`` with the parameters read once, on six float traces:
-    v1 at the junction, rho1 and v1 at the outlet, v2 at the inlet, rho2 and
-    v2 at the junction. Pressures take pressure()'s float arithmetic and range
-    guard. The junction density inverts the pressure with no sign guard: after
-    the collapse check its argument is positive or NaN."""
     q_star, v_max, rho_max1, rho_max2 = (net.ss1.q_star, net.seg1.v_max,
                                          net.seg1.rho_max, net.seg2.rho_max)
-    (c1, g1), (c2, g2) = ((s.pressure_coeff, s.gamma) for s in (net.seg1, net.seg2))
-    inv_g1 = 1.0 / g1
+    coeff2, gamma2, inv_gamma1 = net.seg2.pressure_coeff, net.seg2.gamma, 1.0 / net.seg1.gamma
 
-    def p(rho, coeff, gamma, rho_max):
-        if rho < 0 or rho > rho_max:
-            raise DomainError(f"density outside [0, {rho_max}]")
-        return coeff * rho**gamma
-
-    def fluxes(v1t, rho1_out, v1_out, v_in, rho2t, v2t, u0, step):
-        w2t = v2t + p(rho2t, c2, g2, rho_max2)
-        if w2t - v1t <= 0.0:
+    def fluxes(v1J, w1_out, v_in, w2J, u0, step):
+        if w2J - v1J <= 0.0:
             raise SimulationError(f"junction pressure collapsed at step {step}")
-        rho1J = rho_max1 * ((w2t - v1t) / v_max) ** inv_g1
+        rho1J = rho_max1 * ((w2J - v1J) / v_max) ** inv_gamma1
         if not RHO_FLOOR < rho1J < rho_max1:
             raise SimulationError(f"junction density {rho1J:.4f} outside (0, rho_max) "
                                   f"at step {step}")
-        q1J = rho1J * v1t
+        q1J = rho1J * v1J
         q2J = q1J - u0
         if q2J <= 0.0:
             raise SimulationError(f"ramp input {u0:.4f} veh/s exceeds the junction flux "
@@ -359,9 +347,9 @@ def _boundary_algebra(net: NetworkParams):
         rho_g = q_star / v_in if v_in else math.copysign(math.inf, v_in)
         if rho_g >= rho_max2:
             raise SimulationError(f"inlet ghost density reached rho_max at step {step}")
-        w_g = v_in + p(rho_g, c2, g2, rho_max2)
-        w_out = v1_out + p(rho1_out, c1, g1, rho_max1)
-        return (q1J, w2t), (q_star, w_out), (q_star, w_g), (q2J, w2t)
+        if rho_g < 0.0:
+            raise DomainError(f"density outside [0, {rho_max2}]")
+        return (q1J, w2J), (q_star, w1_out), (q_star, v_in + coeff2 * rho_g**gamma2), (q2J, w2J)
 
     return fluxes
 
@@ -389,18 +377,14 @@ def run_nonlinear(
     boundary fluxes in a padded interface array, so the end and interior node
     updates are one difference over the cell widths.
     """
-    closed = cfg.loop_mode == "closed"
-    if closed and tables is None:
-        raise DomainError("closed-loop nonlinear run requires kernel tables")
-    ss1, ss2 = net.ss1, net.ss2
-    seg1, seg2 = net.seg1, net.seg2
+    ss1, ss2, seg1, seg2 = net.ss1, net.ss2, net.seg1, net.seg2
     N = cfg.N
     M = N + 1  # nodes per segment
     L = seg1.length
     h = L / N
-    x1 = np.linspace(0.0, L, M)
-    x2 = np.linspace(-L, 0.0, M)
-    ops = None if tables is None else FeedbackOperators(*tables, net, x1, x2)
+    x1, x2 = np.linspace(0.0, L, M), np.linspace(-L, 0.0, M)
+    ops = _feedback(cfg, net, tables, x1, x2, "nonlinear")
+    closed = ops is not None
     wc = trap_weights(M, h)  # also the cell widths: h/2 at the ends, h inside
 
     segs = (seg1, seg2)
@@ -430,9 +414,9 @@ def run_nonlinear(
     R[:] = rho1, rho2
     V = np.stack((v1, v2))
     # one range-checked pressure per step, on the current density; it serves
-    # the wave speeds, the relaxation and the velocity update. The relaxation
-    # leaves rho alone, so one R.min() per step serves the range check and
-    # the next step's regime check
+    # the wave speeds, the boundary invariants w and the velocity update. The
+    # relaxation leaves rho alone, so one R.min() per step serves the range
+    # check and the next step's regime check
     rmin = R.min()
     P = stacked_pressure(R, rmin)
     Y[:] = R * (V + P)
@@ -454,9 +438,9 @@ def run_nonlinear(
     flux = Fp[1:]
     am, dU = np.empty(4 * M - 1), np.empty(4 * M - 1)
     width = np.tile(wc, 4)
-    rel, gap = np.empty_like(V), np.empty_like(V)
+    rel = np.empty_like(V)
 
-    fluxes = _boundary_algebra(net)  # on the traces at flat indices i M + j
+    fluxes = boundary_algebra(net)
     rec = _Recorder(net, x1, x2, ops, physical=True)
     mass = float(wc @ R[0] + wc @ R[1])
     mass_err = 0.0
@@ -490,8 +474,10 @@ def run_nonlinear(
         np.multiply(U, V, out=F)  # (rho v, y v); F[0] is the rho v of the Riemann map
         u0 = control_input(ops, *riemann_law(F[0], V, *ops.riemann_rows)) if closed else 0.0
 
+        # the outgoing invariants at flat indices i M + j, w from this step's P
         (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = fluxes(
-            V.item(0), R.item(N), V.item(N), V.item(M), R.item(M + N), V.item(M + N), u0, step
+            V.item(0), V.item(N) + P.item(N), V.item(M),
+            V.item(M + N) + P.item(M + N), u0, step
         )
 
         # Lax-Friedrichs: 0.5 (F_j + F_j+1) - 0.5 am (U_j+1 - U_j), with am
@@ -513,17 +499,14 @@ def run_nonlinear(
         Ff /= width
         Uf -= Ff
 
-        # relaxation on the post-flux state; y carries the whole source and
-        # rho is left alone, so P stays valid for V and the next wave speeds.
-        # Y -= R (v_rel - (v_max - P)) / tau dt is the same number as
-        # Y += dt (-R (...) / tau): IEEE negation is exact
+        # relaxation on the post-flux state. Its source -R (v - V(R))/tau is
+        # -(Y - R v_max)/tau, as V = v_max - p: the pressure cancels. y
+        # carries the whole source and rho is left alone, so P, evaluated on
+        # the post-flux density, stays valid for V and the next wave speeds
         rmin = R.min()
         P = stacked_pressure(R, rmin)
-        np.divide(Y, R, out=rel)
-        rel -= P  # v_rel
-        np.subtract(v_max, P, out=gap)
-        rel -= gap
-        rel *= R
+        np.multiply(R, v_max, out=rel)
+        np.subtract(Y, rel, out=rel)
         rel /= tau
         rel *= dt
         Y -= rel

@@ -430,7 +430,16 @@ def test_stacked_target_residual_matches_pair_loop(
     cfg = sg.SimConfig(t_final=0.3 * window, N=32, loop_mode=loop, model=model,
                        ic=sg.ICSpec(eps=eps, k1=k, k2=4 - k, phase1=phase1, phase2=phase2),
                        record_every=record_every)
-    rec = (run_linear if model == "linear" else run_nonlinear)(cfg, net, tables(32))
+    closed = loop == "closed"
+    rec = (run_linear if model == "linear" else run_nonlinear)(
+        cfg, net, tables(32) if closed else None)
+    if not closed:
+        # an open-loop run records no targets: transform its states the way
+        # the recorder does for a closed loop
+        ops = sg.FeedbackOperators(*tables(32), net, rec.grid1, rec.grid2)
+        rec.target = backstepping_transform(
+            ops, unscale_w(rec.grid1, rec.wbar1, net.ss1, net.seg1), rec.vtil1,
+            unscale_w(rec.grid2, rec.wbar2, net.ss2, net.seg2), rec.vtil2)
     got, want = target_residual(rec, net), _reference_target_residual(rec, net)
     assert type(got) is type(want)
     assert repr(got) == repr(want)

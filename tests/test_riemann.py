@@ -14,9 +14,9 @@ from stopngo.riemann import (
     scale_w,
     to_riemann,
 )
-from stopngo.sim import boundary_fluxes
+from stopngo.sim import boundary_algebra
 
-from oracles import from_riemann, inverse_pressure, unscale_w
+from oracles import from_riemann, unscale_w
 
 
 def grid(net, sid, N=64):
@@ -163,28 +163,24 @@ def test_boundary_rows_composition(net, rows):
 
 
 def _finite_difference_rows(net, h=1e-6):
-    """Central differences of sim.boundary_fluxes about the steady state.
+    """Central differences of sim.boundary_algebra about the steady state.
 
-    Each outgoing rescaled invariant is perturbed through a trace state that
-    carries it; each returned (flux, w) pair is turned back into the incoming
-    rescaled invariant through the congested root of rho (w - p(rho)) = q.
+    Each outgoing rescaled invariant is perturbed in the invariant the
+    algebra takes; each returned (flux, w) pair is turned back into the
+    incoming rescaled invariant through the congested root of
+    rho (w - p(rho)) = q.
     """
     ss1, ss2, seg1, seg2 = net.ss1, net.ss2, net.seg1, net.seg2
     e1 = np.exp(-seg1.length / (seg1.tau * ss1.v_star))
     e2 = np.exp(-seg2.length / (seg2.tau * ss2.v_star))
     w1s, w2s = ss1.v_star + ss1.p_star, ss2.v_star + ss2.p_star
 
+    fluxes = boundary_algebra(net)
+
     def incoming(w1L=0.0, v2L=0.0, v10=0.0, w20=0.0, u0=0.0):
-        rho1 = np.full(3, ss1.rho_star)
-        v1 = np.full(3, ss1.v_star)
-        rho2 = np.full(3, ss2.rho_star)
-        v2 = np.full(3, ss2.v_star)
-        rho1[-1] = inverse_pressure(ss1.p_star + e1 * w1L, seg1)  # w-tilde1(L) = e1 w-bar1(L)
-        v2[0] += v2L
-        v1[0] += v10
-        rho2[-1] = inverse_pressure(ss2.p_star + w20, seg2)
-        (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = boundary_fluxes(
-            rho1, v1, rho2, v2, u0, net
+        # w-tilde1(L) = e1 w-bar1(L); the other three are unscaled at their ends
+        (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = fluxes(
+            ss1.v_star + v10, w1s + e1 * w1L, ss2.v_star + v2L, w2s + w20, u0, 0
         )
 
         def speed(w, q, seg):
