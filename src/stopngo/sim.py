@@ -332,10 +332,11 @@ def boundary_algebra(net: NetworkParams):
     coeff2, gamma2, inv_gamma1 = net.seg2.pressure_coeff, net.seg2.gamma, 1.0 / net.seg1.gamma
 
     def fluxes(v1J, w1_out, v_in, w2J, u0, step):
+        # a NaN fails every comparison and passes, to the stepper's finiteness check
         if w2J - v1J <= 0.0:
             raise SimulationError(f"junction pressure collapsed at step {step}")
         rho1J = rho_max1 * ((w2J - v1J) / v_max) ** inv_gamma1
-        if not RHO_FLOOR < rho1J < rho_max1:
+        if rho1J <= RHO_FLOOR or rho1J >= rho_max1:
             raise SimulationError(f"junction density {rho1J:.4f} outside (0, rho_max) "
                                   f"at step {step}")
         q1J = rho1J * v1J
@@ -369,6 +370,15 @@ def run_nonlinear(
     v from segment 1) and the flux balance with the ramp input, which keeps
     the per-step mass accounting exact.
 
+    The step is dt = cfl h / amax, the full cells' CFL step, as in
+    run_linear. The four end half-cells take it as two half steps (local
+    time stepping, Osher & Sanders, Math. Comp. 41, 1983): the first from
+    the fluxes at t^n, the second from the boundary algebra on the half-step
+    end states and the Lax-Friedrichs flux between each of them and its
+    neighbour, held at t^n. The end interfaces and the boundaries then carry
+    the mean of the two stages' fluxes over the whole step, so both sides
+    of an end interface see the same flux and the scheme stays conservative.
+
     Both segments step as one stacked state: U[0] is rho and U[1] is y, one
     row per segment, and the segment parameters are (2, 1) columns or full
     rows, so each stage of a step is one set of array calls for the whole
@@ -392,34 +402,40 @@ def run_nonlinear(
     def rows(key, n):  # a segment parameter, one row of n copies per segment
         return np.array([[getattr(s, key)] * n for s in segs])
 
-    # the power in pressure_law takes (2, 1) columns, as the pressure always
-    # has; the comparison and the arithmetic read full rows, which numpy
-    # reads faster than it broadcasts a column, with the same bits
+    # full rows of the parameters, which numpy reads faster than it
+    # broadcasts a column; the end block's pressure takes (2, 1) columns. On
+    # these shapes numpy's power is its general one at every exponent (see
+    # pressure_law), so the two give the same bits
     coeff, gamma = rows("pressure_coeff", 1), rows("gamma", 1)
-    gamma_n, rho_max, tau = rows("gamma", M), rows("rho_max", M), rows("tau", M)
+    coeff_n, gamma_n = rows("pressure_coeff", M), rows("gamma", M)
+    rho_max, tau = rows("rho_max", M), rows("tau", M)
     v_max = seg1.v_max  # NetworkParams requires both segments to share it
 
-    def stacked_pressure(R, rmin):
-        # rmin is R.min(). One range check for both rows; a density out of
-        # range, or a NaN, which fails every comparison, is checked again row
-        # by row, so the error names that segment's rho_max
-        if not rmin >= 0.0 or (R > rho_max).any():
+    def stacked_pressure(R, in_range, c, g):
+        # in_range is the caller's one range check over both rows; a density
+        # out of range, or a NaN, which fails every comparison, is checked
+        # again row by row, so the error names that segment's rho_max
+        if not in_range:
             for rho, params in zip(R, segs):
                 pressure(rho, params)
-        return pressure_law(R, coeff, gamma)
+        return pressure_law(R, c, g)
 
-    (rho1, v1), (rho2, v2) = initial_condition(cfg.ic, net, N)
-    U = np.empty((2, 2, M))
-    R, Y = U  # views: R[i] and Y[i] belong to segment i + 1
-    R[:] = rho1, rho2
-    V = np.stack((v1, v2))
-    # one range-checked pressure per step, on the current density; it serves
-    # the wave speeds, the boundary invariants w and the velocity update. The
-    # relaxation leaves rho alone, so one R.min() per step serves the range
-    # check and the next step's regime check
-    rmin = R.min()
-    P = stacked_pressure(R, rmin)
-    Y[:] = R * (V + P)
+    def congested(R, V, rmin, t):
+        # a NaN fails both comparisons and is looked at row by row, which
+        # raises exactly where (R <= RHO_FLOOR).any() or (V <= 0).any() would
+        if not (rmin > RHO_FLOOR and V.min() > 0.0):
+            for label, rho, v in zip(("segment 1", "segment 2"), R, V):
+                if (rho <= RHO_FLOOR).any() or (v <= 0.0).any():
+                    raise SimulationError(
+                        f"state left the congested regime in {label} at step {step}, "
+                        f"t = {t:.3f} s (min rho = {rho.min():.3e}, min v = {v.min():.3e})"
+                    )
+
+    def boundary(v1J, w1_out, v_in, w2J, u0):
+        # the algebra's fluxes of rho and of y at the four end pairs
+        (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = fluxes(
+            v1J, w1_out, v_in, w2J, u0, step)
+        return (q1J, q_out, q_in, q2J), (q1J * w1J, q_out * w_out, q_in * w_in, q2J * w2J)
 
     # Work buffers, overwritten every step. The flux stage runs on flat
     # views of U's four rows (rho then y, segment 1 then 2) laid end to end,
@@ -429,16 +445,52 @@ def run_nonlinear(
     # and the left boundary flux of row r at r M, over the junk that the
     # flat pass leaves between two rows. The right boundary fluxes have no
     # slot; they are written into the differences at r M + N directly.
-    Uf = U.reshape(-1)
-    F = np.empty_like(U)  # U * V, then the flux differences
-    Ff = F.reshape(-1)
-    A2 = np.empty_like(U)  # the wave speeds, once per conserved quantity
-    A, A2f = A2[0], A2.reshape(-1)
-    Fp = np.empty(4 * M)
+    # U, F, the wave speeds A2 and Fp share one buffer, so that one read
+    # gathers every value the end half-cells take from them.
+    work = np.empty(16 * M)
+    U, F, A2 = (work[i * 4 * M : (i + 1) * 4 * M].reshape(2, 2, M) for i in range(3))
+    Fp = work[12 * M :]
+    Uf, Ff, A2f = U.reshape(-1), F.reshape(-1), A2.reshape(-1)
+    A = A2[0]  # the wave speeds, copied to A2[1] for the y rows
     flux = Fp[1:]
     am, dU = np.empty(4 * M - 1), np.empty(4 * M - 1)
     width = np.tile(wc, 4)
-    rel = np.empty_like(V)
+    rel = np.empty((2, M))
+
+    # The end half-cells, as four (segment, end) pairs: segment 1 at the
+    # junction and the outlet, segment 2 at the inlet and the junction. A
+    # pair's rho node is i M + e N for segment i + 1 and end e (0 left, 1
+    # right), its y node 2M further on; its neighbour is one node inwards,
+    # and its end-interface flux slot in Fp sits on the inner side. side is
+    # s = +1 at a left end and -1 at a right end. One read of `work` gathers,
+    # at t^n after the flat flux pass, nine rows of the four pairs: the end
+    # rho and y, their interface fluxes, the neighbours' rho and y and their
+    # fluxes, and the neighbours' wave speeds
+    pairs = [(i, e) for i in (0, 1) for e in (0, 1)]
+    nodes = [i * M + e * N for i, e in pairs]
+    inner = [n + 1 - 2 * e for n, (_, e) in zip(nodes, pairs)]
+    slots = [n + 1 - e for n, (_, e) in zip(nodes, pairs)]
+    gather = np.array([[base + q * 2 * M + n for n in idx]
+                       for base, idx in ((0, nodes), (12 * M, slots), (0, inner), (4 * M, inner))
+                       for q in (0, 1)] + [[8 * M + n for n in inner]])
+    # the mean fluxes go to the end-interface slots and the left boundary slots
+    scatter = np.array([q * 2 * M + n for q in (0, 1) for n in slots] + [r * M for r in range(4)])
+    sides, gammas = [1.0 - 2.0 * e for _, e in pairs], [segs[i].gamma for i, _ in pairs]
+    rho_max1, rho_max2 = seg1.rho_max, seg2.rho_max
+    Rh = np.empty((2, 2))  # the half-step end densities, [segment, end]
+    Rh_flat = Rh.reshape(-1)
+
+    (rho1, v1), (rho2, v2) = initial_condition(cfg.ic, net, N)
+    R, Y = U  # views: R[i] and Y[i] belong to segment i + 1
+    R[:] = rho1, rho2
+    V = np.stack((v1, v2))
+    # one range-checked pressure per step, on the current density; it serves
+    # the wave speeds, the boundary invariants w and the velocity update. The
+    # relaxation leaves rho alone, so one R.min() per step serves the range
+    # check and the next step's regime check
+    rmin = R.min()
+    P = stacked_pressure(R, rmin >= 0.0 and not (R > rho_max).any(), coeff_n, gamma_n)
+    Y[:] = R * (V + P)
 
     fluxes = boundary_algebra(net)
     rec = _Recorder(net, x1, x2, ops, physical=True)
@@ -452,15 +504,7 @@ def run_nonlinear(
 
     t, step, u0 = 0.0, 0, 0.0
     while True:
-        # a NaN fails both comparisons and is looked at row by row, which
-        # raises exactly where (R <= RHO_FLOOR).any() or (V <= 0).any() would
-        if not (rmin > RHO_FLOOR and V.min() > 0.0):
-            for label, rho, v in zip(("segment 1", "segment 2"), R, V):
-                if (rho <= RHO_FLOOR).any() or (v <= 0.0).any():
-                    raise SimulationError(
-                        f"state left the congested regime in {label} at step {step}, "
-                        f"t = {t:.3f} s (min rho = {rho.min():.3e}, min v = {v.min():.3e})"
-                    )
+        congested(R, V, rmin, t)
         # A = max(|V - gamma P|, V); |V| is V, since V > 0 was checked above
         np.multiply(gamma_n, P, out=A)
         np.subtract(V, A, out=A)
@@ -469,32 +513,71 @@ def run_nonlinear(
         amax = float(A.max())
         if t >= cfg.t_final - 1e-12 * cfg.t_final:
             break
-        dt = min(cfg.cfl * (0.5 * h) / amax, cfg.t_final - t)
+        dt = min(cfg.cfl * h / amax, cfg.t_final - t)
 
         np.multiply(U, V, out=F)  # (rho v, y v); F[0] is the rho v of the Riemann map
         u0 = control_input(ops, *riemann_law(F[0], V, *ops.riemann_rows)) if closed else 0.0
-
         # the outgoing invariants at flat indices i M + j, w from this step's P
-        (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = fluxes(
-            V.item(0), V.item(N) + P.item(N), V.item(M),
-            V.item(M + N) + P.item(M + N), u0, step
-        )
+        br, by = boundary(V.item(0), V.item(N) + P.item(N), V.item(M),
+                          V.item(M + N) + P.item(M + N), u0)
 
         # Lax-Friedrichs: 0.5 (F_j + F_j+1) - 0.5 am (U_j+1 - U_j), with am
-        # the larger wave speed of the two nodes
+        # the larger wave speed of the two nodes; A is halved first, which
+        # halves am exactly
         np.add(Ff[:-1], Ff[1:], out=flux)
         flux *= 0.5
+        A *= 0.5
         np.copyto(A2[1], A)
         np.maximum(A2f[:-1], A2f[1:], out=am)
-        am *= 0.5
         np.subtract(Uf[1:], Uf[:-1], out=dU)
         dU *= am
         flux -= dU
+
+        # The end half-cells, in floats, one list entry per pair. The first
+        # half step is U_e - (dt/h) s (F_if - F_bnd), and its pressure is the
+        # stacked law on the (2, 2) block of end densities. A NaN fails every
+        # check here and goes on to the finiteness check
+        re, ye, rf, yf, rn, yn, rfn, yfn, an = work[gather].tolist()
+        k = dt / h
+        rh = [c - (f - b) * s * k for c, f, b, s in zip(re, rf, br, sides)]
+        yh = [c - (f - b) * s * k for c, f, b, s in zip(ye, yf, by, sides)]
+        Rh_flat[:] = rh
+        rj1, rout, rin, rj2 = rh
+        Ph = stacked_pressure(Rh, 0.0 <= rj1 <= rho_max1 and 0.0 <= rout <= rho_max1
+                              and 0.0 <= rin <= rho_max2 and 0.0 <= rj2 <= rho_max2, coeff, gamma)
+        if not (rj1 > RHO_FLOOR and rout > RHO_FLOOR and rin > RHO_FLOOR and rj2 > RHO_FLOOR):
+            # the regime check before a float division by a zero density; v
+            # is numpy's quotient, as for the whole state
+            congested(Rh, np.reshape(yh, (2, 2)) / Rh - Ph, Rh.min(), t + 0.5 * dt)
+        pa, pb = Ph.tolist()
+        ph = pa + pb
+        vh, half_am = [], []
+        for r, y, p, gam, a_n in zip(rh, yh, ph, gammas, an):
+            v = y / r - p
+            a = abs(v - gam * p)
+            a = (a if a > v else v) * 0.5  # max(|v - gamma p|, v), as for the whole state
+            vh.append(v)
+            half_am.append(a if a > a_n else a_n)  # a_n, from A, is halved already
+        vj1, vout, vin, vj2 = vh
+        if not (vj1 > 0.0 and vout > 0.0 and vin > 0.0 and vj2 > 0.0):
+            congested(Rh, np.reshape(vh, (2, 2)), Rh.min(), t + 0.5 * dt)
+        # The second half step reads the algebra on the half-step invariants
+        # and the Lax-Friedrichs flux between each half-step end state and
+        # its neighbour at t^n, 0.5 (c v + f_n) - 0.5 am s (c_n - c). Every
+        # end interface and boundary carries the mean of the two stages'
+        # fluxes over the step
+        br_b, by_b = boundary(vj1, vout + ph[1], vin, vj2 + ph[3], u0)
+        mr = [(fa + ((c * v + fn) * 0.5 - (cn - c) * s * a)) * 0.5
+              for c, fa, cn, fn, s, v, a in zip(rh, rf, rn, rfn, sides, vh, half_am)]
+        my = [(fa + ((c * v + fn) * 0.5 - (cn - c) * s * a)) * 0.5
+              for c, fa, cn, fn, s, v, a in zip(yh, yf, yn, yfn, sides, vh, half_am)]
+        br = [(a + b) * 0.5 for a, b in zip(br, br_b)]
+        by = [(a + b) * 0.5 for a, b in zip(by, by_b)]
+
         # U -= dt (flux out - flux in) / width at every node, the ends included
-        Fp[::M] = q1J, q_in, q1J * w1J, q_in * w_in
+        Fp[scatter] = mr + my + [br[0], br[2], by[0], by[2]]
         np.subtract(Fp[1:], Fp[:-1], out=Ff[:-1])
-        Ff[N::M] = q_out, q2J, q_out * w_out, q2J * w2J
-        Ff[N::M] -= Fp[N::M]
+        Ff[N::M] = br[1] - mr[1], br[3] - mr[3], by[1] - my[1], by[3] - my[3]
         Ff *= dt
         Ff /= width
         Uf -= Ff
@@ -504,7 +587,7 @@ def run_nonlinear(
         # carries the whole source and rho is left alone, so P, evaluated on
         # the post-flux density, stays valid for V and the next wave speeds
         rmin = R.min()
-        P = stacked_pressure(R, rmin)
+        P = stacked_pressure(R, rmin >= 0.0 and not (R > rho_max).any(), coeff_n, gamma_n)
         np.multiply(R, v_max, out=rel)
         np.subtract(Y, rel, out=rel)
         rel /= tau
