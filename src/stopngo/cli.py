@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from .config import RunConfig, apply_overrides, default_config, emit_resolved, parse_config
-from .control import trap_weights
 from .errors import (
     AssumptionError,
     ConfigError,
@@ -74,21 +73,21 @@ def cmd_steady(cfg: RunConfig) -> int:
 
 def cmd_kernels(cfg: RunConfig) -> int:
     net = cfg.net
-    M = cfg.kernel_resolution
+    M = cfg.sim.N
     lines = []
-    for seg_id in (1, 2):
+    for seg_id, params in ((1, net.seg1), (2, net.seg2)):
         table = solve_kernels(seg_id, net, M=M)
         path = os.path.join(cfg.out_dir, f"kernels_seg{seg_id}.csv")
         save_table(table, path)
         pde, bc = kernel_residual(table, net)
-        # gain bound of the transform, 1 + max_x int (|K^vw| + |K^vv|) dxi,
-        # attained on the row that spans the whole segment
-        kabs = np.abs(table.Kvw) + np.abs(table.Kvv)
-        gain = 1.0 + float(np.max(kabs @ trap_weights(M + 1, table.h)))
+        # the kernels are the constants D and -D, so both maxima are |D| and
+        # the transform's gain bound, 1 + max_x int (|K^vw| + |K^vv|) dxi,
+        # is 1 + 2|D|L, attained on the row that spans the whole segment
+        D = abs(table.D)
         lines.append(
             "segment %d, M = %d: closed form, pde residual = %.3e, "
             "bc residual = %.3e, max|Kvw| = %.3e, max|Kvv| = %.3e, transform gain = %.3f"
-            % (seg_id, M, pde, bc, np.abs(table.Kvw).max(), np.abs(table.Kvv).max(), gain)
+            % (seg_id, M, pde, bc, D, D, 1.0 + 2.0 * D * params.length)
         )
         lines.append(f"segment {seg_id}: table written to {path}")
     _emit(lines, cfg.out_dir, "kernel_report.txt")
@@ -100,7 +99,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     tables = None
     if sim.loop_mode == "closed":
-        tables = tuple(solve_kernels(i, net, M=cfg.kernel_resolution) for i in (1, 2))
+        tables = tuple(solve_kernels(i, net, M=sim.N) for i in (1, 2))
     runner = run_linear if sim.model == "linear" else run_nonlinear
     record = runner(sim, net, tables)
     export_states_csv(record, os.path.join(cfg.out_dir, "states.csv"))
@@ -151,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="run configuration file")
     common.add_argument("--out", metavar="DIR", help="output directory (default out)")
-    common.add_argument("--resolution", type=int, metavar="N", help="grid/table resolution")
+    common.add_argument("--resolution", type=int, metavar="N",
+                        help="cells per segment, of the grid and the kernel tables")
     common.add_argument("--loop", choices=("open", "closed"))
     common.add_argument("--model", choices=("linear", "nonlinear"))
     parser = argparse.ArgumentParser(

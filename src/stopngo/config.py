@@ -27,7 +27,6 @@ _UNITS = {
 class RunConfig:
     net: NetworkParams
     sim: SimConfig
-    kernel_resolution: int
     out_dir: str
 
 
@@ -106,7 +105,7 @@ def default_config() -> RunConfig:
         ic=ICSpec(eps=0.05),
         record_every=64,
     )
-    return RunConfig(net=net, sim=sim, kernel_resolution=256, out_dir="out")
+    return RunConfig(net=net, sim=sim, out_dir="out")
 
 
 def parse_config(path) -> RunConfig:
@@ -160,12 +159,7 @@ def parse_config(path) -> RunConfig:
         ),
         record_every=r.get_int("simulation", "record_every", base.sim.record_every),
     )
-    return RunConfig(
-        net=net,
-        sim=sim,
-        kernel_resolution=r.get_int("kernels", "resolution", base.kernel_resolution),
-        out_dir=r.get_word("output", "directory", base.out_dir),
-    )
+    return RunConfig(net=net, sim=sim, out_dir=r.get_word("output", "directory", base.out_dir))
 
 
 def emit_resolved(cfg: RunConfig, path):
@@ -196,9 +190,6 @@ def emit_resolved(cfg: RunConfig, path):
         "phase_2 = %.17g" % sim.ic.phase2,
         "record_every = %d" % sim.record_every,
         "",
-        "[kernels]",
-        "resolution = %d" % cfg.kernel_resolution,
-        "",
         "[output]",
         "directory = %s" % cfg.out_dir,
         "",
@@ -219,6 +210,5 @@ def apply_overrides(cfg: RunConfig, out=None, resolution=None, loop=None,
     return RunConfig(
         net=cfg.net,
         sim=sim if resolution is None else replace(sim, N=resolution),
-        kernel_resolution=cfg.kernel_resolution if resolution is None else resolution,
         out_dir=cfg.out_dir if out is None else out,
     )

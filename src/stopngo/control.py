@@ -42,10 +42,14 @@ class FeedbackOperators:
     """The constants of the feedback law and the Volterra map, built once per run.
 
     The kernels are the constants K^vw = D_i and K^vv = -D_i, so both act on
-    w-tilde_i - v-tilde_i alone. Holds D_i from the tables, the trapezoid
-    weights of the state grids, g_t and g_control, the Riemann-map
-    parameters as full rows and scale_w's factors exp(x/(tau v*)) on the
-    state grids.
+    d_i = w-tilde_i - v-tilde_i alone, and the junction row of the transform
+    is j_i, D_i times the trapezoid weights of segment i's grid. The law is
+    U0 = (j2 . d2 - g_t j1 . d1) / g_control, and since d_i = (gamma p*/q*)
+    (rho v - q*) - (1 + 1/r)(v - v*), it is held as two (2, N+1) weight rows
+    on the excess flow rho v - q* and the excess speed v - v*, with g_t,
+    g_control and the Riemann-map parameters folded in, and the centre rows
+    q* and v*. Also holds D_i, the grid spacings and scale_w's factors
+    exp(x/(tau v*)) on the state grids.
     """
 
     def __init__(
@@ -60,32 +64,31 @@ class FeedbackOperators:
             raise DomainError("tables must be (segment 1, segment 2)")
         self.grid1, self.grid2 = grid1, grid2
         self.D1, self.D2 = table1.D, table2.D
-        rows = boundary_rows(net)
-        self.g_t, self.g_control = rows.g_t, rows.g_control
         self.h1, self.h2 = ((g[-1] - g[0]) / (g.size - 1) for g in (grid1, grid2))
         self.trap1 = trap_weights(grid1.size, self.h1)
         self.trap2 = trap_weights(grid2.size, self.h2)
+        self.j1, self.j2 = self.D1 * self.trap1, self.D2 * self.trap2
         self.scale1 = scale_factor(grid1, net.ss1, net.seg1)
         self.scale2 = scale_factor(grid2, net.ss2, net.seg2)
-        # full rows rather than (2, 1) columns: numpy reads them faster, same bits
-        self.riemann_rows = tuple(
+        rows = boundary_rows(net)
+        # the map's parameters as full rows rather than (2, 1) columns: numpy
+        # reads them faster, same bits
+        self.v_star, self.q_star, gain, r = (
             np.repeat([[a], [b]], grid1.size, axis=1)
             for a, b in zip(riemann_law_params(net.ss1, net.seg1),
-                            riemann_law_params(net.ss2, net.seg2))
-        )
+                            riemann_law_params(net.ss2, net.seg2)))
+        c = np.array([[-rows.g_t], [1.0]]) / rows.g_control
+        j = np.stack((self.j1, self.j2))
+        self.law_flux, self.law_v = c * gain * j, -c * (1.0 + 1.0 / r) * j
 
 
-def control_input(ops: FeedbackOperators, wt, vt) -> float:
-    """Ramp-metering flux correction U0 from the Riemann state of both
-    segments, (w-tilde, v-tilde) as (2, N+1) rows, one row per segment.
-
-    U0 = (D2 I2 - g_t D1 I1) / g_control with I_i the trapezoid integral of
-    w-tilde_i - v-tilde_i over segment i, the junction row of the transform;
-    it makes the junction row of the target system hold.
+def control_input(ops: FeedbackOperators, flux, v) -> float:
+    """Ramp-metering flux correction U0 from the flux rho v and the velocity
+    of both segments as (2, N+1) rows, one row per segment: the law's weight
+    rows on the excess flow and the excess speed. It makes the junction row
+    of the target system hold.
     """
-    d = wt - vt
-    i1, i2 = ops.trap1 @ d[0], ops.trap2 @ d[1]
-    return float((ops.D2 * i2 - ops.g_t * ops.D1 * i1) / ops.g_control)
+    return float(np.vdot(ops.law_flux, flux - ops.q_star) + np.vdot(ops.law_v, v - ops.v_star))
 
 
 def backstepping_transform(ops: FeedbackOperators, w1, v1, w2, v2) -> list[TargetState]:

@@ -25,21 +25,16 @@ def to_riemann(rho, v, ss: SteadyState, params: SegmentParams):
     (rho v, v), since 1 - gamma p*/v* = -1/r; it is the quantity the plant
     transports at v*. The arrays may be rows or (K, N+1) blocks.
     """
-    return riemann_law(rho * v, v, *riemann_law_params(ss, params))
+    v_star, q_star, gain, r = riemann_law_params(ss, params)
+    vt = v - v_star
+    wt = gain * (rho * v - q_star) - vt / r
+    return wt, vt
 
 
 def riemann_law_params(ss: SteadyState, params: SegmentParams):
-    """(v*, q*, gamma p*/q*, r), the parameters riemann_law takes."""
+    """(v*, q*, gamma p*/q*, r): the parameters of to_riemann, which the
+    feedback law's weight rows also fold in."""
     return ss.v_star, ss.q_star, params.gamma * ss.p_star / ss.q_star, ss.r
-
-
-def riemann_law(flux, v, v_star, q_star, gain, r):
-    """(w-tilde, v-tilde) from the flux rho v and the velocity; the single
-    source of the map. The parameters broadcast, so (n, 1) columns or full
-    rows map n stacked segments in one call, bit for bit as row by row."""
-    vt = v - v_star
-    wt = gain * (flux - q_star) - vt / r
-    return wt, vt
 
 
 def scale_factor(grid, ss: SteadyState, params: SegmentParams) -> np.ndarray:

@@ -24,7 +24,6 @@ from .riemann import (
     boundary_rows,
     coupling_coefficient,
     physical_arrays,
-    riemann_law,
     scale_factor,
     scale_w,
     to_riemann,
@@ -120,10 +119,15 @@ class NormHistory:
 
 def initial_condition(ic: ICSpec, net: NetworkParams, N: int):
     """On-equilibrium sinusoid perturbation (v = V(rho) pointwise), as
-    (rho, v) rows on the N+1 nodes of each segment."""
+    (rho, v) rows on the N+1 nodes of each segment. Both steppers start
+    from it, and they share one grid spacing, so it refuses segments of
+    unequal length."""
     if ic.eps >= 0.5:
         raise DomainError(f"amplitude must be below 0.5, got {ic.eps}")
     L = net.seg1.length
+    if net.seg2.length != L:
+        raise DomainError(f"the steppers need segments of equal length, got "
+                          f"{L} m and {net.seg2.length} m")
     out = []
     for params, ss, k, phase in (
         (net.seg1, net.ss1, ic.k1, ic.phase1),
@@ -250,12 +254,12 @@ def run_linear(
 
     cur, nxt = views(S), views(S_next)
     if closed:
-        # the junction rows of the transform, K^vw = D_i and K^vv = -D_i
-        # trapezoid-weighted; scale_factor of -x is exp(-x/(tau v*)), the map
-        # from w-bar to w-tilde
-        k1v0, k2vN = -ops.D1 * ops.trap1, -ops.D2 * ops.trap2
-        k1w0 = ops.D1 * ops.trap1 * scale_factor(-x1, ss1, seg1)
-        k2wN = ops.D2 * ops.trap2 * scale_factor(-x2, ss2, seg2)
+        # the junction rows j_i of the transform act on w-tilde and on minus
+        # v-tilde; scale_factor of -x is exp(-x/(tau v*)), the map from w-bar
+        # to w-tilde
+        k1v0, k2vN = -ops.j1, -ops.j2
+        k1w0 = ops.j1 * scale_factor(-x1, ss1, seg1)
+        k2wN = ops.j2 * scale_factor(-x2, ss2, seg2)
         # the junction row contains v2[N] inside its own quadrature; solve for it
         denom = 1.0 - k2vN[N]
         trace_t, trace_b2 = [], []
@@ -515,8 +519,8 @@ def run_nonlinear(
             break
         dt = min(cfg.cfl * h / amax, cfg.t_final - t)
 
-        np.multiply(U, V, out=F)  # (rho v, y v); F[0] is the rho v of the Riemann map
-        u0 = control_input(ops, *riemann_law(F[0], V, *ops.riemann_rows)) if closed else 0.0
+        np.multiply(U, V, out=F)  # (rho v, y v); the law reads F[0] and V
+        u0 = control_input(ops, F[0], V) if closed else 0.0
         # the outgoing invariants at flat indices i M + j, w from this step's P
         br, by = boundary(V.item(0), V.item(N) + P.item(N), V.item(M),
                           V.item(M + N) + P.item(M + N), u0)

@@ -8,7 +8,7 @@ import numpy as np
 
 from stopngo.control import TargetState, trap_weights
 from stopngo.errors import DomainError
-from stopngo.riemann import boundary_rows, physical_arrays, scale_factor
+from stopngo.riemann import boundary_rows, physical_arrays, riemann_law_params, scale_factor
 
 
 def inverse_pressure(p_val, params):
@@ -34,6 +34,13 @@ def from_riemann(wt, vt, ss, params):
     if np.any(rho <= 0) or np.any(rho >= params.rho_max):
         raise DomainError("recovered density left the open interval (0, rho_max)")
     return rho, v
+
+
+def law_rows(wt, vt, ss, params):
+    """(rho v, v), the exact affine inverse of to_riemann in the flux and the
+    velocity that the feedback law reads; no range guard."""
+    v_star, q_star, gain, r = riemann_law_params(ss, params)
+    return q_star + (wt + vt / r) / gain, v_star + vt
 
 
 def unscale_w(x, wbar, ss, params):

@@ -15,8 +15,8 @@ def test_resolved_round_trip(tmp_path):
 
 
 def test_retired_keys_still_parse(tmp_path):
-    # files written before the kernel tolerance and the seed were removed
-    # keep parsing; the keys are ignored
+    # files written before the kernel resolution, the kernel tolerance and
+    # the seed were removed keep parsing; the keys are ignored
     path = tmp_path / "old.cfg"
     path.write_text(
         "[kernels]\n"
@@ -28,9 +28,9 @@ def test_retired_keys_still_parse(tmp_path):
         "seed = 3\n"
     )
     cfg = parse_config(path)
-    assert cfg.kernel_resolution == 64
     assert cfg.out_dir == "elsewhere"
     assert cfg.net == default_config().net
+    assert cfg.sim == default_config().sim
 
 
 def test_unit_suffixes(tmp_path):
@@ -85,7 +85,6 @@ def test_missing_file():
 def test_overrides():
     cfg = apply_overrides(default_config(), out="elsewhere", resolution=64)
     assert cfg.out_dir == "elsewhere"
-    assert cfg.kernel_resolution == 64
     assert cfg.sim.N == 64
     cfg = apply_overrides(default_config(), loop="open", model="linear")
     assert cfg.sim.loop_mode == "open"

@@ -14,7 +14,7 @@ from stopngo.model import SegmentParams, admissible_flux_interval, make_network
 from stopngo.riemann import boundary_rows, scale_w, to_riemann
 from stopngo.sim import run_linear, run_nonlinear
 
-from oracles import dense_target, dense_u0, unscale_w
+from oracles import dense_target, dense_u0, law_rows, unscale_w
 
 L = 2000.0
 
@@ -34,9 +34,11 @@ def transform(ops, w1, v1, w2, v2):
     return backstepping_transform(ops, *(np.atleast_2d(a) for a in (w1, v1, w2, v2)))[0]
 
 
-def law(ops, w1, v1, w2, v2):
-    """U0 of one Riemann state, stacked into the law's (2, N+1) rows."""
-    return control_input(ops, np.stack((w1, w2)), np.stack((v1, v2)))
+def law(ops, net, w1, v1, w2, v2):
+    """U0 of one Riemann state, mapped to the law's (2, N+1) rows of rho v
+    and v."""
+    (f1, u1), (f2, u2) = law_rows(w1, v1, net.ss1, net.seg1), law_rows(w2, v2, net.ss2, net.seg2)
+    return control_input(ops, np.stack((f1, f2)), np.stack((u1, u2)))
 
 
 def test_zero_state_maps_to_zero(net, tables):
@@ -47,7 +49,7 @@ def test_zero_state_maps_to_zero(net, tables):
     assert np.all(tar.beta2 == 0.0)
     assert np.all(tar.alpha1 == 0.0)
     assert np.all(tar.alpha2 == 0.0)
-    assert law(ops, z, z, z, z) == 0.0
+    assert law(ops, net, z, z, z, z) == 0.0
 
 
 def test_zero_kernels_make_transform_identity(net, tables):
@@ -138,16 +140,21 @@ def test_matrix_transform_matches_row_loop(net, M):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), log_amp=st.floats(-6.0, 3.0))
 def test_constant_kernel_law_matches_dense_table_path(net, gamma_net, which, N, seed, log_amp):
-    # beta and U0 from D_i and cumulative trapezoids against the kernel
-    # tables as triangular matrices and junction rows. Each difference is
-    # bounded by round-off on the sum it comes from: the largest |v-tilde|
-    # plus |D_i| times the trapezoid sum of |w-tilde| + |v-tilde| for beta,
-    # and the two junction integrals of absolute values for U0. Measured:
-    # at most 1.94e-16 and 9.4e-17 of those scales over 1,800 random states
+    # beta from D_i and cumulative trapezoids, and U0 from the law's weight
+    # rows on rho v and v, against the kernel tables as triangular matrices
+    # and junction rows on the Riemann rows of the same state. Each
+    # difference is bounded by round-off on the sum it comes from: the
+    # largest |v-tilde| plus |D_i| times the trapezoid sum of |w-tilde| +
+    # |v-tilde| for beta, and the two junction integrals of absolute values
+    # for U0. Measured: at most 1.94e-16 and 2.7e-16 of those scales over
+    # 1,800 random states
     n = gamma_net if which == "gamma" else net
     t1, t2 = solve_kernels(1, n, M=N), solve_kernels(2, n, M=N)
     rng = np.random.default_rng(seed)
-    w1, v1, w2, v2 = (10.0**log_amp * rng.standard_normal(N + 1) for _ in range(4))
+    rho, vel = (np.stack([c * (1.0 + 10.0**log_amp * rng.standard_normal(N + 1)) for c in centre])
+                for centre in ((n.ss1.rho_star, n.ss2.rho_star), (n.ss1.v_star, n.ss2.v_star)))
+    (w1, v1), (w2, v2) = (to_riemann(rho[i], vel[i], ss, seg)
+                          for i, (ss, seg) in enumerate(((n.ss1, n.seg1), (n.ss2, n.seg2))))
     ops = sg.FeedbackOperators(t1, t2, n, t1.x, t2.x)
     got = transform(ops, w1, v1, w2, v2)
     want = dense_target(t1.x, w1, v1, t2.x, w2, v2, t1, t2, n)
@@ -157,7 +164,7 @@ def test_constant_kernel_law_matches_dense_table_path(net, gamma_net, which, N, 
     assert np.array_equal(got.alpha1, want.alpha1) and np.array_equal(got.alpha2, want.alpha2)
     rows = boundary_rows(n)
     u0_scale = (sums[1] + abs(rows.g_t) * sums[0]) / abs(rows.g_control)
-    got_u0 = law(ops, w1, v1, w2, v2)
+    got_u0 = control_input(ops, rho * vel, vel)
     assert abs(got_u0 - dense_u0(w1, v1, w2, v2, t1, t2, n)) <= 5e-16 * u0_scale
 
 
@@ -169,7 +176,7 @@ def test_operators_read_only_the_kernel_constant(net, tables, rng):
     a, b = transform(coarse, w1, v1, w2, v2), transform(fine, w1, v1, w2, v2)
     for key in ("alpha1", "beta1", "alpha2", "beta2"):
         assert np.array_equal(getattr(a, key), getattr(b, key))
-    assert law(coarse, w1, v1, w2, v2) == law(fine, w1, v1, w2, v2)
+    assert law(coarse, net, w1, v1, w2, v2) == law(fine, net, w1, v1, w2, v2)
 
 
 def test_tables_must_come_in_segment_order(net, tables):
@@ -197,7 +204,7 @@ def test_manufactured_integral_against_fine_quadrature(net, tables):
 def test_control_input_manufactured(net, rows, tables):
     t1, t2 = tables(64)
     one, z = np.ones(65), np.zeros(65)
-    u = law(operators(tables(64), net, 64), z, z, one, z)
+    u = law(operators(tables(64), net, 64), net, z, z, one, z)
     xs, kvw = t2.x, t2.Kvw[t2.M, :]
     f = np.linspace(xs[0], xs[-1], 8001)
     want = np.trapezoid(np.interp(f, xs, kvw), f) / rows.g_control
@@ -212,8 +219,8 @@ def test_transform_and_feedback_are_linear(net, tables, rng):
     part = transform(ops, s * a1, s * b1, s * a2, s * b2)
     assert np.abs(part.beta1 - s * full.beta1).max() < 1e-12
     assert np.abs(part.beta2 - s * full.beta2).max() < 1e-12
-    uf = law(ops, a1, b1, a2, b2)
-    up = law(ops, s * a1, s * b1, s * a2, s * b2)
+    uf = law(ops, net, a1, b1, a2, b2)
+    up = law(ops, net, s * a1, s * b1, s * a2, s * b2)
     assert up == pytest.approx(s * uf, rel=1e-12, abs=1e-12)
 
 
@@ -251,7 +258,7 @@ def test_recorded_feedback_matches_recomputed(net, tables, window):
     worst = 0.0
     for i in range(1, len(rec.times)):
         # the linear stepper records w-bar; the law reads w-tilde
-        u = law(ops, unscale_w(rec.grid1, rec.wbar1[i], net.ss1, net.seg1), rec.vtil1[i],
+        u = law(ops, net, unscale_w(rec.grid1, rec.wbar1[i], net.ss1, net.seg1), rec.vtil1[i],
                 unscale_w(rec.grid2, rec.wbar2[i], net.ss2, net.seg2), rec.vtil2[i])
         worst = max(worst, abs(u - rec.u0[i]))
     assert worst < 1e-12
@@ -260,11 +267,11 @@ def test_recorded_feedback_matches_recomputed(net, tables, window):
 def _assert_nonlinear_u0_is_the_public_law(net, tb, ic, t_final, monkeypatch):
     # the stepper evaluates U0 through sim.control_input on every step; the
     # recorded U0 must be the law's output, bit for bit, and the law's
-    # output on the recorded state of that step
+    # output on the rho v and v of the recorded state of that step
     outputs = []
 
-    def spy(ops, wt, vt):
-        outputs.append(control_input(ops, wt, vt))
+    def spy(ops, flux, v):
+        outputs.append(control_input(ops, flux, v))
         return outputs[-1]
 
     monkeypatch.setattr(sg.sim, "control_input", spy)
@@ -278,9 +285,8 @@ def _assert_nonlinear_u0_is_the_public_law(net, tb, ic, t_final, monkeypatch):
     assert rec.u0[1:].tolist() == outputs
     ops = sg.FeedbackOperators(*tb, net, rec.grid1, rec.grid2)
     for k, u in enumerate(rec.u0[1:]):
-        (w1, v1), (w2, v2) = (to_riemann(rho[k], v[k], ss, seg) for rho, v, ss, seg in (
-            (rec.rho1, rec.v1, net.ss1, net.seg1), (rec.rho2, rec.v2, net.ss2, net.seg2)))
-        assert u == law(ops, w1, v1, w2, v2), k
+        rho, v = np.stack((rec.rho1[k], rec.rho2[k])), np.stack((rec.v1[k], rec.v2[k]))
+        assert u == control_input(ops, rho * v, v), k
 
 
 def test_nonlinear_u0_is_the_public_law_on_every_record(net, tables, window, monkeypatch):

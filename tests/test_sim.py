@@ -689,9 +689,7 @@ def _per_segment_reference(cfg, net, tables=None, calls=None):
                  cfg.t_final - t)
         u0 = 0.0
         if ops:
-            (w1t, v1t), (w2t, v2t) = (to_riemann(rho[0], v[0], net.ss1, seg1),
-                                      to_riemann(rho[1], v[1], net.ss2, seg2))
-            u0 = control_input(ops, np.stack((w1t, w2t)), np.stack((v1t, v2t)))
+            u0 = control_input(ops, np.stack((rho[0] * v[0], rho[1] * v[1])), np.stack(v))
         bnd = algebra(rho, v, p, u0)
         cons = [(rho[i], y[i]) for i in (0, 1)]
         fc = []
@@ -1089,6 +1087,20 @@ def test_open_loop_takes_no_kernel_tables(net, tables, run):
         run(dataclasses.replace(cfg, loop_mode="closed"), net)
 
 
+@pytest.mark.parametrize("run", [run_linear, run_nonlinear])
+@pytest.mark.parametrize("loop", ["open", "closed"])
+def test_runners_refuse_segments_of_unequal_length(net, run, loop):
+    # both steppers lay the two segments on one grid spacing, so a longer
+    # segment 2 would be simulated on segment 1's interval
+    uneven = sg.make_network(net.seg1, dataclasses.replace(net.seg2, length=3000.0), 6.0)
+    tables = (sg.solve_kernels(1, uneven, M=32), sg.solve_kernels(2, uneven, M=32))
+    cfg = sg.SimConfig(t_final=10.0, N=32, loop_mode=loop,
+                       model="linear" if run is run_linear else "nonlinear")
+    with pytest.raises(DomainError, match=r"^the steppers need segments of equal length, "
+                                          r"got 2000\.0 m and 3000\.0 m$"):
+        run(cfg, uneven, tables if loop == "closed" else None)
+
+
 def _junction_trace(index, value):
     """Initial data with one trace velocity replaced: (segment, node)."""
     def patched(ic, net, N):
@@ -1114,7 +1126,7 @@ def test_boundary_errors_keep_step_and_message(net, tables, window, monkeypatch,
     elif case == "ramp":  # a feedback law 500 times too strong
         loop = "closed"
         monkeypatch.setattr(sg.sim, "control_input",
-                            lambda ops, wt, vt: 500.0 * control_input(ops, wt, vt))
+                            lambda ops, flux, v: 500.0 * control_input(ops, flux, v))
         message = (r"ramp input 18\.3197 veh/s exceeds the junction flux 5\.9422 veh/s "
                    r"at step 5; feasible U_0 < 5\.9422$")
     cfg = sg.SimConfig(t_final=window, N=64, loop_mode=loop, model="nonlinear",
