@@ -311,9 +311,6 @@ def criterion_8(ctx):
             "model = linear",
             "record_every = 8",
             "",
-            "[kernels]",
-            "resolution = 64",
-            "",
         ]
     )
     with tempfile.TemporaryDirectory(prefix="stopngo-acc-") as tmp:

@@ -2,18 +2,21 @@
 
 Dimensioned values are written "number unit" (for example "2 km" or
 "45 m/s"); everything is converted to SI at parse time and the resolved
-SI values can be echoed back out in a form that re-parses identically.
+SI values can be echoed back out in a form that re-parses to the same
+settings.
 """
 from __future__ import annotations
 
 import configparser
-import os
+import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 from .errors import ConfigError
 from .model import NetworkParams, SegmentParams, make_network
 from .sim import ICSpec, SimConfig
 
+# the first unit of each family is the SI unit that emit_resolved writes
 _UNITS = {
     "length": {"m": 1.0, "km": 1000.0},
     "speed": {"m/s": 1.0, "km/h": 1.0 / 3.6},
@@ -21,6 +24,36 @@ _UNITS = {
     "time": {"s": 1.0, "min": 60.0, "h": 3600.0},
     "flux": {"veh/s": 1.0, "veh/min": 1.0 / 60.0, "veh/h": 1.0 / 3600.0},
 }
+
+# every key a run file may hold: its kind (a unit family, "number",
+# "integer", the tuple of accepted words, or None for any text) and where
+# its value sits in a RunConfig; segment_length and v_max are shared by
+# both segments
+_KEYS = {
+    ("network", "segment_length"): ("length", "net.seg1.length"),
+    ("network", "v_max"): ("speed", "net.seg1.v_max"),
+    ("network", "rho_max_1"): ("density", "net.seg1.rho_max"),
+    ("network", "rho_max_2"): ("density", "net.seg2.rho_max"),
+    ("network", "gamma_1"): ("number", "net.seg1.gamma"),
+    ("network", "gamma_2"): ("number", "net.seg2.gamma"),
+    ("network", "tau_1"): ("time", "net.seg1.tau"),
+    ("network", "tau_2"): ("time", "net.seg2.tau"),
+    ("network", "q_star"): ("flux", "net.ss1.q_star"),
+    ("simulation", "cells"): ("integer", "sim.N"),
+    ("simulation", "cfl"): ("number", "sim.cfl"),
+    ("simulation", "t_final"): ("time", "sim.t_final"),
+    ("simulation", "loop"): (("open", "closed"), "sim.loop_mode"),
+    ("simulation", "model"): (("linear", "nonlinear"), "sim.model"),
+    ("simulation", "amplitude"): ("number", "sim.ic.eps"),
+    ("simulation", "wavenumber_1"): ("integer", "sim.ic.k1"),
+    ("simulation", "wavenumber_2"): ("integer", "sim.ic.k2"),
+    ("simulation", "phase_1"): ("number", "sim.ic.phase1"),
+    ("simulation", "phase_2"): ("number", "sim.ic.phase2"),
+    ("simulation", "record_every"): ("integer", "sim.record_every"),
+    ("output", "directory"): (None, "out_dir"),
+}
+# keys of older files, still accepted and ignored
+_RETIRED = {("kernels", "resolution"), ("kernels", "tolerance"), ("output", "seed")}
 
 
 @dataclass(frozen=True)
@@ -30,57 +63,41 @@ class RunConfig:
     out_dir: str
 
 
-def _quantity(text: str, kind: str, where: str) -> float:
+def _field(cfg: RunConfig, where: str):
+    return reduce(getattr, where.split("."), cfg)
+
+
+def _value(text: str, kind, where: str):
+    """One key's value, read as its kind and converted to SI."""
+    if kind is None or isinstance(kind, tuple):
+        if kind is not None and text not in kind:
+            raise ConfigError(f"{where}: expected one of {kind}, got {text!r}")
+        return text
+    units = _UNITS.get(kind)
     parts = text.split()
-    if kind == "none":
-        if len(parts) != 1:
-            raise ConfigError(f"{where}: expected a bare number, got {text!r}")
-        unit_factor = 1.0
-    else:
-        if len(parts) != 2:
-            raise ConfigError(
-                f"{where}: expected 'value unit' with unit in "
-                f"{sorted(_UNITS[kind])}, got {text!r}"
-            )
-        try:
-            unit_factor = _UNITS[kind][parts[1]]
-        except KeyError:
-            raise ConfigError(
-                f"{where}: unknown {kind} unit {parts[1]!r}; "
-                f"accepted: {sorted(_UNITS[kind])}"
-            ) from None
+    if len(parts) != (1 if units is None else 2):
+        shape = "a bare number" if units is None else f"'value unit' with unit in {sorted(units)}"
+        raise ConfigError(f"{where}: expected {shape}, got {text!r}")
+    if units is not None and parts[1] not in units:
+        raise ConfigError(f"{where}: unknown {kind} unit {parts[1]!r}; accepted: {sorted(units)}")
     try:
         value = float(parts[0])
     except ValueError:
         raise ConfigError(f"{where}: not a number: {parts[0]!r}") from None
-    return value * unit_factor
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {parts[0]!r}")
+    if kind == "integer":
+        if value != int(value):
+            raise ConfigError(f"{where}: expected an integer, got {value}")
+        return int(value)
+    return value if units is None else value * units[parts[1]]
 
 
-class _Reader:
-    def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
-
-    def get(self, section, key, kind, default):
-        if not self.parser.has_option(section, key):
-            return default
-        raw = self.parser.get(section, key)
-        return _quantity(raw, kind, f"[{section}] {key}")
-
-    def get_int(self, section, key, default):
-        val = self.get(section, key, "none", None)
-        if val is None:
-            return default
-        if val != int(val):
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {val}")
-        return int(val)
-
-    def get_word(self, section, key, default, allowed=None):
-        if not self.parser.has_option(section, key):
-            return default
-        raw = self.parser.get(section, key).strip()
-        if allowed is not None and raw not in allowed:
-            raise ConfigError(f"[{section}] {key}: expected one of {allowed}, got {raw!r}")
-        return raw
+def _text(value, kind) -> str:
+    """The SI text that _value reads back as value."""
+    if kind in _UNITS:
+        return "%.17g %s" % (value, next(iter(_UNITS[kind])))
+    return {"integer": "%d", "number": "%.17g"}.get(kind, "%s") % value
 
 
 def default_network() -> NetworkParams:
@@ -109,106 +126,56 @@ def default_config() -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        with open(path) as f:
+            parser.read_file(f)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    r = _Reader(parser)
+    given = {}
+    for section, body in parser.items():
+        for key, text in body.items():
+            if (section, key) in _RETIRED:
+                continue
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"[{section}] {key}: unknown key")
+            given[key] = _value(text, _KEYS[section, key][0], f"[{section}] {key}")
     base = default_config()
+    value = {key: given.get(key, _field(base, where)) for (_, key), (_, where) in _KEYS.items()}
 
-    length = r.get("network", "segment_length", "length", base.net.seg1.length)
-    v_max = r.get("network", "v_max", "speed", base.net.seg1.v_max)
-    seg1 = SegmentParams(
-        v_max=v_max,
-        rho_max=r.get("network", "rho_max_1", "density", base.net.seg1.rho_max),
-        gamma=r.get("network", "gamma_1", "none", base.net.seg1.gamma),
-        tau=r.get("network", "tau_1", "time", base.net.seg1.tau),
-        length=length,
-        segment_id=1,
-    )
-    seg2 = SegmentParams(
-        v_max=v_max,
-        rho_max=r.get("network", "rho_max_2", "density", base.net.seg2.rho_max),
-        gamma=r.get("network", "gamma_2", "none", base.net.seg2.gamma),
-        tau=r.get("network", "tau_2", "time", base.net.seg2.tau),
-        length=length,
-        segment_id=2,
-    )
-    net = make_network(
-        seg1, seg2, r.get("network", "q_star", "flux", base.net.ss1.q_star)
-    )
+    def segment(i):
+        return SegmentParams(v_max=value["v_max"], rho_max=value[f"rho_max_{i}"],
+                             gamma=value[f"gamma_{i}"], tau=value[f"tau_{i}"],
+                             length=value["segment_length"], segment_id=i)
 
-    window = net.ss1.kappa + net.ss2.kappa
+    net = make_network(segment(1), segment(2), value["q_star"])
+    ic = ICSpec(eps=value["amplitude"], k1=value["wavenumber_1"], k2=value["wavenumber_2"],
+                phase1=value["phase_1"], phase2=value["phase_2"])
     sim = SimConfig(
-        t_final=r.get("simulation", "t_final", "time", 10.0 * window),
-        N=r.get_int("simulation", "cells", base.sim.N),
-        cfl=r.get("simulation", "cfl", "none", base.sim.cfl),
-        loop_mode=r.get_word("simulation", "loop", base.sim.loop_mode, ("open", "closed")),
-        model=r.get_word(
-            "simulation", "model", base.sim.model, ("linear", "nonlinear")
-        ),
-        ic=ICSpec(
-            eps=r.get("simulation", "amplitude", "none", base.sim.ic.eps),
-            k1=r.get_int("simulation", "wavenumber_1", base.sim.ic.k1),
-            k2=r.get_int("simulation", "wavenumber_2", base.sim.ic.k2),
-            phase1=r.get("simulation", "phase_1", "none", base.sim.ic.phase1),
-            phase2=r.get("simulation", "phase_2", "none", base.sim.ic.phase2),
-        ),
-        record_every=r.get_int("simulation", "record_every", base.sim.record_every),
+        # the default horizon is ten windows of the network read from the file
+        t_final=given.get("t_final", 10.0 * (net.ss1.kappa + net.ss2.kappa)),
+        N=value["cells"], cfl=value["cfl"], loop_mode=value["loop"], model=value["model"],
+        ic=ic, record_every=value["record_every"],
     )
-    return RunConfig(net=net, sim=sim, out_dir=r.get_word("output", "directory", base.out_dir))
+    return RunConfig(net=net, sim=sim, out_dir=value["directory"])
 
 
 def emit_resolved(cfg: RunConfig, path):
-    """Echo the validated configuration in SI units; re-parses identically."""
-    net, sim = cfg.net, cfg.sim
-    lines = [
-        "[network]",
-        "segment_length = %.17g m" % net.seg1.length,
-        "v_max = %.17g m/s" % net.seg1.v_max,
-        "rho_max_1 = %.17g veh/m" % net.seg1.rho_max,
-        "rho_max_2 = %.17g veh/m" % net.seg2.rho_max,
-        "gamma_1 = %.17g" % net.seg1.gamma,
-        "gamma_2 = %.17g" % net.seg2.gamma,
-        "tau_1 = %.17g s" % net.seg1.tau,
-        "tau_2 = %.17g s" % net.seg2.tau,
-        "q_star = %.17g veh/s" % net.ss1.q_star,
-        "",
-        "[simulation]",
-        "cells = %d" % sim.N,
-        "cfl = %.17g" % sim.cfl,
-        "t_final = %.17g s" % sim.t_final,
-        "loop = %s" % sim.loop_mode,
-        "model = %s" % sim.model,
-        "amplitude = %.17g" % sim.ic.eps,
-        "wavenumber_1 = %d" % sim.ic.k1,
-        "wavenumber_2 = %d" % sim.ic.k2,
-        "phase_1 = %.17g" % sim.ic.phase1,
-        "phase_2 = %.17g" % sim.ic.phase2,
-        "record_every = %d" % sim.record_every,
-        "",
-        "[output]",
-        "directory = %s" % cfg.out_dir,
-        "",
-    ]
+    """Echo the validated configuration in SI units. It re-parses to the same
+    settings; q_star is segment 1's steady flux rho* v*, for which the steady
+    states are solved again."""
+    sections = {}
+    for (section, key), (kind, where) in _KEYS.items():
+        line = f"{key} = {_text(_field(cfg, where), kind)}"
+        sections.setdefault(section, [f"[{section}]"]).append(line)
     with open(path, "w") as f:
-        f.write("\n".join(lines))
+        f.write("\n\n".join("\n".join(lines) for lines in sections.values()) + "\n")
 
 
 def apply_overrides(cfg: RunConfig, out=None, resolution=None, loop=None,
                     model=None) -> RunConfig:
-    sim = cfg.sim
-    if loop is not None or model is not None:
-        sim = replace(
-            sim,
-            loop_mode=loop if loop is not None else sim.loop_mode,
-            model=model if model is not None else sim.model,
-        )
-    return RunConfig(
-        net=cfg.net,
-        sim=sim if resolution is None else replace(sim, N=resolution),
-        out_dir=cfg.out_dir if out is None else out,
-    )
+    given = {"N": resolution, "loop_mode": loop, "model": model}
+    sim = replace(cfg.sim, **{name: value for name, value in given.items() if value is not None})
+    return RunConfig(net=cfg.net, sim=sim, out_dir=cfg.out_dir if out is None else out)

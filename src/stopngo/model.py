@@ -28,8 +28,9 @@ class SegmentParams:
 
     def __post_init__(self):
         for name in ("v_max", "rho_max", "gamma", "tau", "length"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         if self.segment_id not in (1, 2):
             raise DomainError(f"segment_id must be 1 or 2, got {self.segment_id}")
 
@@ -199,7 +200,7 @@ def solve_steady_states(
     q_star: float, seg1: SegmentParams, seg2: SegmentParams
 ) -> tuple[SteadyState, SteadyState]:
     """Congested equilibria carrying the same flux q_star on both segments."""
-    if q_star <= 0:
+    if not q_star > 0:
         raise InfeasibleError(f"q_star must be positive, got {q_star}")
     out = []
     for params in (seg1, seg2):

@@ -43,8 +43,12 @@ class ICSpec:
     phase2: float = 0.0
 
     def __post_init__(self):
-        if self.eps < 0.0:
-            raise DomainError(f"amplitude must be nonnegative, got {self.eps}")
+        if not 0.0 <= self.eps < math.inf:
+            raise DomainError(f"amplitude must be nonnegative and finite, got {self.eps}")
+        for name in ("k1", "k2", "phase1", "phase2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,17 +62,17 @@ class SimConfig:
     record_every: int = 8
 
     def __post_init__(self):
-        if self.N < 32:
-            raise DomainError(f"N must be at least 32, got {self.N}")
+        if not 32 <= self.N < math.inf:
+            raise DomainError(f"N must be at least 32 and finite, got {self.N}")
         if not 0.0 < self.cfl <= 0.95:
             raise DomainError(f"cfl must lie in (0, 0.95], got {self.cfl}")
-        if self.t_final <= 0.0:
-            raise DomainError(f"t_final must be positive, got {self.t_final}")
+        if not 0.0 < self.t_final < math.inf:
+            raise DomainError(f"t_final must be positive and finite, got {self.t_final}")
         if self.loop_mode not in ("open", "closed"):
             raise DomainError(f"unknown loop_mode {self.loop_mode!r}")
         if self.model not in ("linear", "nonlinear"):
             raise DomainError(f"unknown model {self.model!r}")
-        if self.record_every < 1:
+        if not 1 <= self.record_every < math.inf:
             raise DomainError("record_every must be a positive integer")
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -171,6 +172,15 @@ def test_flux_above_capacity_names_binding_segment():
 def test_zero_flux_rejected():
     with pytest.raises(InfeasibleError):
         solve_steady_states(0.0, seg(1, **SEG1, tau=120.0), seg(2, **SEG2))
+
+
+def test_non_finite_parameters_rejected():
+    for bad in (math.inf, math.nan):
+        for name in ("v_max", "rho_max", "gamma", "tau", "length"):
+            with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+                seg(**{name: bad})
+    with pytest.raises(InfeasibleError, match="q_star must be positive, got nan"):
+        solve_steady_states(math.nan, seg(1, **SEG1, tau=120.0), seg(2, **SEG2))
 
 
 def test_critical_steady_state_rejected():

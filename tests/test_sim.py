@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -45,6 +46,22 @@ def test_config_validation():
         sg.SimConfig(t_final=-1.0, ic=sg.ICSpec())
     with pytest.raises(DomainError):
         sg.ICSpec(eps=-0.1)
+
+
+def test_config_rejects_non_finite_values():
+    # only the constructors: a stepper given an infinite horizon never stops
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="t_final"):
+            sg.SimConfig(t_final=bad)
+        with pytest.raises(DomainError, match="N must"):
+            sg.SimConfig(t_final=10.0, N=bad)
+        with pytest.raises(DomainError, match="record_every"):
+            sg.SimConfig(t_final=10.0, record_every=bad)
+        with pytest.raises(DomainError, match="amplitude"):
+            sg.ICSpec(eps=bad)
+        for name in ("k1", "k2", "phase1", "phase2"):
+            with pytest.raises(DomainError, match=f"{name} must be finite"):
+                sg.ICSpec(**{name: bad})
 
 
 def test_initial_condition_zero_amplitude(net):
