@@ -38,7 +38,7 @@ from .stability import (
     simulate_difference,
     sp1,
 )
-from .kernels import KernelTable, kernel_residual, save_table, solve_kernels
+from .kernels import KernelTable, kernel_constant, kernel_residual, save_table, solve_kernels
 from .control import FeedbackOperators, TargetState, backstepping_transform, control_input, target_residual
 from .sim import (
     ICSpec,

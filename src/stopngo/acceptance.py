@@ -182,7 +182,7 @@ def _beta2_trace(ctx, N):
         record_every=8,
     )
     key = f"lin-closed-{N}"
-    rec = ctx.run(key, lambda: run_linear(cfg, ctx.net, ctx.tables(N)))
+    rec = ctx.run(key, lambda: run_linear(cfg, ctx.net))
     return rec
 
 
@@ -234,9 +234,7 @@ def criterion_5(ctx):
         ic=ICSpec(eps=0.05),
         record_every=32,
     )
-    rec_c = ctx.run(
-        "nl-closed-10w", lambda: run_nonlinear(cfg, ctx.net, ctx.tables(256))
-    )
+    rec_c = ctx.run("nl-closed-10w", lambda: run_nonlinear(cfg, ctx.net))
     rec_o = ctx.open_nonlinear_10w()
     hist_c = norms_and_rate(rec_c)
     hist_o = norms_and_rate(rec_o)

@@ -97,11 +97,8 @@ def cmd_kernels(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     net, sim = cfg.net, cfg.sim
     t0 = time.perf_counter()
-    tables = None
-    if sim.loop_mode == "closed":
-        tables = tuple(solve_kernels(i, net, M=sim.N) for i in (1, 2))
     runner = run_linear if sim.model == "linear" else run_nonlinear
-    record = runner(sim, net, tables)
+    record = runner(sim, net)
     export_states_csv(record, os.path.join(cfg.out_dir, "states.csv"))
     export_norms_csv(record, os.path.join(cfg.out_dir, "norms.csv"))
     emit_resolved(cfg, os.path.join(cfg.out_dir, "resolved.cfg"))

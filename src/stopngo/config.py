@@ -54,6 +54,7 @@ _KEYS = {
 }
 # keys of older files, still accepted and ignored
 _RETIRED = {("kernels", "resolution"), ("kernels", "tolerance"), ("output", "seed")}
+_PARSER_OPTIONS = dict(inline_comment_prefixes=("#", ";"), interpolation=None)
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def default_config() -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    parser = configparser.ConfigParser(**_PARSER_OPTIONS)
     try:
         with open(path) as f:
             parser.read_file(f)
@@ -176,6 +177,17 @@ def emit_resolved(cfg: RunConfig, path):
 
 def apply_overrides(cfg: RunConfig, out=None, resolution=None, loop=None,
                     model=None) -> RunConfig:
+    """cfg with the given settings. The output directory must read back from
+    resolved.cfg, which drops outer spaces and what follows " #" or " ;"."""
     given = {"N": resolution, "loop_mode": loop, "model": model}
     sim = replace(cfg.sim, **{name: value for name, value in given.items() if value is not None})
-    return RunConfig(net=cfg.net, sim=sim, out_dir=cfg.out_dir if out is None else out)
+    out_dir = cfg.out_dir if out is None else out
+    parser = configparser.ConfigParser(**_PARSER_OPTIONS)
+    try:
+        parser.read_string(f"[output]\ndirectory = {out_dir}\n")
+        reads_back = out_dir != "" and parser["output"]["directory"] == out_dir
+    except configparser.Error:
+        reads_back = False
+    if not reads_back:
+        raise ConfigError(f"[output] directory: {out_dir!r} does not read back from a run file")
+    return RunConfig(net=cfg.net, sim=sim, out_dir=out_dir)

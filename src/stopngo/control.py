@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import KernelTable
+from .kernels import kernel_constant
 from .model import NetworkParams
 from .riemann import boundary_rows, riemann_law_params, scale_factor
 
@@ -41,7 +41,8 @@ def _cumulative_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
 class FeedbackOperators:
     """The constants of the feedback law and the Volterra map, built once per run.
 
-    The kernels are the constants K^vw = D_i and K^vv = -D_i, so both act on
+    The kernels are the constants K^vw = D_i and K^vv = -D_i, functions of
+    the network alone (kernel_constant), so both act on
     d_i = w-tilde_i - v-tilde_i alone, and the junction row of the transform
     is j_i, D_i times the trapezoid weights of segment i's grid. The law is
     U0 = (j2 . d2 - g_t j1 . d1) / g_control, and since d_i = (gamma p*/q*)
@@ -52,18 +53,9 @@ class FeedbackOperators:
     exp(x/(tau v*)) on the state grids.
     """
 
-    def __init__(
-        self,
-        table1: KernelTable,
-        table2: KernelTable,
-        net: NetworkParams,
-        grid1: np.ndarray,
-        grid2: np.ndarray,
-    ):
-        if table1.segment_id != 1 or table2.segment_id != 2:
-            raise DomainError("tables must be (segment 1, segment 2)")
+    def __init__(self, net: NetworkParams, grid1: np.ndarray, grid2: np.ndarray):
         self.grid1, self.grid2 = grid1, grid2
-        self.D1, self.D2 = table1.D, table2.D
+        self.D1, self.D2 = kernel_constant(1, net), kernel_constant(2, net)
         self.h1, self.h2 = ((g[-1] - g[0]) / (g.size - 1) for g in (grid1, grid2))
         self.trap1 = trap_weights(grid1.size, self.h1)
         self.trap2 = trap_weights(grid2.size, self.h2)

@@ -55,19 +55,25 @@ def _segment(segment_id: int, net: NetworkParams):
     raise DomainError(f"segment_id must be 1 or 2, got {segment_id}")
 
 
+def kernel_constant(segment_id: int, net: NetworkParams) -> float:
+    """D_i = -+1/(tau_i gamma_i p_i*) (segment 1, 2), the kernels K^vw = D_i
+    and K^vv = -D_i on segment i's whole triangle: the network alone."""
+    params, ss, sign = _segment(segment_id, net)
+    return sign / (params.tau * params.gamma * ss.p_star)
+
+
 def solve_kernels(segment_id: int, net: NetworkParams, M: int = 128) -> KernelTable:
     """The closed-form kernel pair on one segment's triangle."""
     if M < 16:
         raise DomainError(f"M must be at least 16, got {M}")
-    params, ss, sign = _segment(segment_id, net)
-    D = sign / (params.tau * params.gamma * ss.p_star)
+    params = _segment(segment_id, net)[0]
     lo, hi = params.interval
     return KernelTable(
         segment_id=segment_id,
         M=M,
         h=params.length / M,
         x=np.linspace(lo, hi, M + 1),
-        D=D,
+        D=kernel_constant(segment_id, net),
         iterations=1,
     )
 

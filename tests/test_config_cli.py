@@ -282,6 +282,37 @@ def test_overrides():
     assert cfg.sim.model == "linear"
 
 
+@pytest.mark.parametrize(
+    "out", ["runs #1", "runs ;1", " lead", "trail ", "two\nlines", ""],
+    ids=["hash comment", "semicolon comment", "leading space", "trailing space", "line break",
+         "empty"],
+)
+def test_output_directory_must_read_back(tmp_path, monkeypatch, capsys, out):
+    # resolved.cfg would name another directory, and "" died in makedirs
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match=r"^\[output\] directory: "):
+        apply_overrides(default_config(), out=out)
+    rc = cli.main(["steady", "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: [output] directory: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_directory_from_a_run_file_must_read_back(tmp_path, capsys):
+    path = tmp_path / "empty_dir.cfg"
+    path.write_text("[output]\ndirectory =\n")
+    assert cli.main(["steady", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: [output] directory: '' does not read back from a run file\n"
+
+
+@pytest.mark.parametrize("out", ["runs#1", "a;b", "run %1", "with space"])
+def test_output_directory_that_reads_back(tmp_path, out):
+    cfg = apply_overrides(default_config(), out=out)
+    emit_resolved(cfg, tmp_path / "resolved.cfg")
+    assert parse_config(tmp_path / "resolved.cfg").out_dir == out
+
+
 def test_cli_steady_default(tmp_path, capsys):
     rc = cli.main(["steady", "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -406,3 +437,22 @@ def test_cli_simulate_quiescent(tmp_path, capsys):
     again = parse_config(out / "resolved.cfg")
     assert again.sim.N == 64
     assert again.sim.ic.eps == 0.0
+
+
+def test_cli_closed_loop_simulate_solves_no_kernel_table(tmp_path, monkeypatch, capsys):
+    # the closed loop's gains come from the network alone
+    from stopngo import kernels
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel table was solved")
+
+    monkeypatch.setattr(kernels, "solve_kernels", refuse)
+    monkeypatch.setattr(cli, "solve_kernels", refuse)
+    path = tmp_path / "closed.cfg"
+    path.write_text("[simulation]\ncells = 32\nt_final = 60 s\nloop = closed\n"
+                    "model = nonlinear\nrecord_every = 8\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert "loop = closed" in capsys.readouterr().out
+    u0 = [float(row.rsplit(",", 1)[1]) for row in (out / "states.csv").read_text().splitlines()[1:]]
+    assert any(u != 0.0 for u in u0)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,8 @@ import stopngo as sg
 from stopngo.control import backstepping_transform, control_input, target_residual
 from stopngo.errors import DomainError
 from stopngo.errors import AssumptionError, InfeasibleError
-from stopngo.kernels import solve_kernels
+from stopngo import control
+from stopngo.kernels import kernel_constant, solve_kernels
 from stopngo.model import SegmentParams, admissible_flux_interval, make_network
 from stopngo.riemann import boundary_rows, scale_w, to_riemann
 from stopngo.sim import run_linear, run_nonlinear
@@ -23,9 +22,9 @@ def grids(M):
     return np.linspace(0.0, L, M + 1), np.linspace(-L, 0.0, M + 1)
 
 
-def operators(tables, net, M):
-    """The feedback operators of a table pair on the state grids of M cells."""
-    return sg.FeedbackOperators(*tables, net, *grids(M))
+def operators(net, M):
+    """The feedback operators of a network on the state grids of M cells."""
+    return sg.FeedbackOperators(net, *grids(M))
 
 
 def transform(ops, w1, v1, w2, v2):
@@ -41,8 +40,8 @@ def law(ops, net, w1, v1, w2, v2):
     return control_input(ops, np.stack((f1, f2)), np.stack((u1, u2)))
 
 
-def test_zero_state_maps_to_zero(net, tables):
-    ops = operators(tables(64), net, 64)
+def test_zero_state_maps_to_zero(net):
+    ops = operators(net, 64)
     z = np.zeros(65)
     tar = transform(ops, z, z, z, z)
     assert np.all(tar.beta1 == 0.0)
@@ -52,8 +51,9 @@ def test_zero_state_maps_to_zero(net, tables):
     assert law(ops, net, z, z, z, z) == 0.0
 
 
-def test_zero_kernels_make_transform_identity(net, tables):
-    ops = operators([dataclasses.replace(t, D=0.0) for t in tables(64)], net, 64)
+def test_zero_kernels_make_transform_identity(net, monkeypatch):
+    monkeypatch.setattr(control, "kernel_constant", lambda segment_id, net: 0.0)
+    ops = operators(net, 64)
     x1, x2 = grids(64)
     w1, v1 = np.sin(x1 / 300.0), np.cos(x1 / 500.0)
     w2, v2 = np.cos(x2 / 400.0), np.sin(x2 / 700.0)
@@ -121,7 +121,7 @@ def test_matrix_transform_matches_row_loop(net, M):
     for n in [net] + random_networks(8, seed=M):
         t1, t2 = solve_kernels(1, n, M=M), solve_kernels(2, n, M=M)
         w1, v1, w2, v2 = (rng.standard_normal(M + 1) for _ in range(4))
-        tar = transform(sg.FeedbackOperators(t1, t2, n, t1.x, t2.x), w1, v1, w2, v2)
+        tar = transform(sg.FeedbackOperators(n, t1.x, t2.x), w1, v1, w2, v2)
         beta1, beta2 = row_loop_transform(w1, v1, w2, v2, t1, t2)
         # rounding scales with the size of the integrals being summed: the
         # state times the inf-norm of the transform, 2.0-2.3 on the default
@@ -155,7 +155,7 @@ def test_constant_kernel_law_matches_dense_table_path(net, gamma_net, which, N, 
                 for centre in ((n.ss1.rho_star, n.ss2.rho_star), (n.ss1.v_star, n.ss2.v_star)))
     (w1, v1), (w2, v2) = (to_riemann(rho[i], vel[i], ss, seg)
                           for i, (ss, seg) in enumerate(((n.ss1, n.seg1), (n.ss2, n.seg2))))
-    ops = sg.FeedbackOperators(t1, t2, n, t1.x, t2.x)
+    ops = sg.FeedbackOperators(n, t1.x, t2.x)
     got = transform(ops, w1, v1, w2, v2)
     want = dense_target(t1.x, w1, v1, t2.x, w2, v2, t1, t2, n)
     sums = [abs(t.D) * t.h * np.sum(np.abs(w) + np.abs(v)) for t, w, v in ((t1, w1, v1), (t2, w2, v2))]
@@ -168,21 +168,17 @@ def test_constant_kernel_law_matches_dense_table_path(net, gamma_net, which, N, 
     assert abs(got_u0 - dense_u0(w1, v1, w2, v2, t1, t2, n)) <= 5e-16 * u0_scale
 
 
-def test_operators_read_only_the_kernel_constant(net, tables, rng):
-    # the tables' resolution does not enter: tables at M = 32 give the
-    # operators of tables on the state grid, bit for bit
-    w1, v1, w2, v2 = (rng.standard_normal(129) for _ in range(4))
-    coarse, fine = (operators(tables(M), net, 128) for M in (32, 128))
-    a, b = transform(coarse, w1, v1, w2, v2), transform(fine, w1, v1, w2, v2)
-    for key in ("alpha1", "beta1", "alpha2", "beta2"):
-        assert np.array_equal(getattr(a, key), getattr(b, key))
-    assert law(coarse, net, w1, v1, w2, v2) == law(fine, net, w1, v1, w2, v2)
-
-
-def test_tables_must_come_in_segment_order(net, tables):
-    t1, t2 = tables(64)
-    with pytest.raises(DomainError, match="segment 1, segment 2"):
-        sg.FeedbackOperators(t2, t1, net, *grids(64))
+def test_operators_read_only_the_kernel_constant(net, gamma_net, monkeypatch):
+    # the operators hold kernel_constant's D_i, and the law's weight rows
+    # follow it: a constant twice as large doubles them, bit for bit
+    for n in (net, gamma_net):
+        ops = operators(n, 128)
+        assert (ops.D1, ops.D2) == (kernel_constant(1, n), kernel_constant(2, n))
+        with monkeypatch.context() as m:
+            m.setattr(control, "kernel_constant", lambda i, n: 2.0 * kernel_constant(i, n))
+            double = operators(n, 128)
+        assert np.array_equal(double.law_flux, 2.0 * ops.law_flux)
+        assert np.array_equal(double.law_v, 2.0 * ops.law_v)
 
 
 def test_manufactured_integral_against_fine_quadrature(net, tables):
@@ -190,7 +186,7 @@ def test_manufactured_integral_against_fine_quadrature(net, tables):
     # of K^vw; re-integrate the interpolated rows on a 10x finer grid
     t1, t2 = tables(64)
     one, z = np.ones(65), np.zeros(65)
-    tar = transform(operators(tables(64), net, 64), one, z, z, z)
+    tar = transform(operators(net, 64), one, z, z, z)
     for j in range(65):
         xs, kvw = t1.x[j:], t1.Kvw[j, j:]
         if xs.size < 2:
@@ -204,15 +200,15 @@ def test_manufactured_integral_against_fine_quadrature(net, tables):
 def test_control_input_manufactured(net, rows, tables):
     t1, t2 = tables(64)
     one, z = np.ones(65), np.zeros(65)
-    u = law(operators(tables(64), net, 64), net, z, z, one, z)
+    u = law(operators(net, 64), net, z, z, one, z)
     xs, kvw = t2.x, t2.Kvw[t2.M, :]
     f = np.linspace(xs[0], xs[-1], 8001)
     want = np.trapezoid(np.interp(f, xs, kvw), f) / rows.g_control
     assert u == pytest.approx(want, abs=1e-6)
 
 
-def test_transform_and_feedback_are_linear(net, tables, rng):
-    ops = operators(tables(64), net, 64)
+def test_transform_and_feedback_are_linear(net, rng):
+    ops = operators(net, 64)
     a1, b1, a2, b2 = (rng.standard_normal(65) for _ in range(4))
     s = 0.37
     full = transform(ops, a1, b1, a2, b2)
@@ -224,10 +220,10 @@ def test_transform_and_feedback_are_linear(net, tables, rng):
     assert up == pytest.approx(s * uf, rel=1e-12, abs=1e-12)
 
 
-def test_volterra_inversion_by_fixed_point(net, tables):
+def test_volterra_inversion_by_fixed_point(net):
     # the transform is invertible: holding w-tilde fixed and iterating
     # v <- v + (beta_target - beta(v)) recovers the original v fields
-    ops = operators(tables(256), net, 256)
+    ops = operators(net, 256)
     x1, x2 = grids(256)
     w1 = np.sin(2 * np.pi * x1 / L) + 0.3
     v1 = 0.7 * np.cos(np.pi * x1 / L)
@@ -243,8 +239,7 @@ def test_volterra_inversion_by_fixed_point(net, tables):
     assert np.abs(g2 - v2).max() < 1e-8
 
 
-def test_recorded_feedback_matches_recomputed(net, tables, window):
-    tb = tables(128)
+def test_recorded_feedback_matches_recomputed(net, window):
     cfg = sg.SimConfig(
         t_final=0.5 * window,
         N=128,
@@ -253,8 +248,8 @@ def test_recorded_feedback_matches_recomputed(net, tables, window):
         ic=sg.ICSpec(eps=0.1),
         record_every=16,
     )
-    rec = run_linear(cfg, net, tb)
-    ops = operators(tb, net, 128)
+    rec = run_linear(cfg, net)
+    ops = operators(net, 128)
     worst = 0.0
     for i in range(1, len(rec.times)):
         # the linear stepper records w-bar; the law reads w-tilde
@@ -264,7 +259,7 @@ def test_recorded_feedback_matches_recomputed(net, tables, window):
     assert worst < 1e-12
 
 
-def _assert_nonlinear_u0_is_the_public_law(net, tb, ic, t_final, monkeypatch):
+def _assert_nonlinear_u0_is_the_public_law(net, ic, t_final, monkeypatch):
     # the stepper evaluates U0 through sim.control_input on every step; the
     # recorded U0 must be the law's output, bit for bit, and the law's
     # output on the rho v and v of the recorded state of that step
@@ -278,33 +273,32 @@ def _assert_nonlinear_u0_is_the_public_law(net, tb, ic, t_final, monkeypatch):
     cfg = sg.SimConfig(
         t_final=t_final, N=64, loop_mode="closed", model="nonlinear", ic=ic, record_every=1
     )
-    rec = run_nonlinear(cfg, net, tb)
+    rec = run_nonlinear(cfg, net)
     # rec.u0[k + 1] is the input applied over step k, on record k's state
     assert len(rec.times) - 1 == rec.n_steps == len(outputs)
     assert np.any(rec.u0[1:] != 0.0)
     assert rec.u0[1:].tolist() == outputs
-    ops = sg.FeedbackOperators(*tb, net, rec.grid1, rec.grid2)
+    ops = sg.FeedbackOperators(net, rec.grid1, rec.grid2)
     for k, u in enumerate(rec.u0[1:]):
         rho, v = np.stack((rec.rho1[k], rec.rho2[k])), np.stack((rec.v1[k], rec.v2[k]))
         assert u == control_input(ops, rho * v, v), k
 
 
-def test_nonlinear_u0_is_the_public_law_on_every_record(net, tables, window, monkeypatch):
+def test_nonlinear_u0_is_the_public_law_on_every_record(net, window, monkeypatch):
     ic = sg.ICSpec(eps=0.05, phase1=0.4, phase2=1.3)
-    _assert_nonlinear_u0_is_the_public_law(net, tables(64), ic, 0.1 * window, monkeypatch)
+    _assert_nonlinear_u0_is_the_public_law(net, ic, 0.1 * window, monkeypatch)
 
 
 def test_nonlinear_u0_is_the_public_law_on_the_gamma_network(gamma_net, monkeypatch):
     # the segments differ in gamma, rho_max and tau here, so a row handed to
     # the law from the other segment cannot agree with the record
     net = gamma_net
-    tb = (solve_kernels(1, net, M=64), solve_kernels(2, net, M=64))
     ic = sg.ICSpec(eps=0.02, phase1=0.4, phase2=4.3)
-    _assert_nonlinear_u0_is_the_public_law(net, tb, ic, 0.1 * (net.ss1.kappa + net.ss2.kappa),
+    _assert_nonlinear_u0_is_the_public_law(net, ic, 0.1 * (net.ss1.kappa + net.ss2.kappa),
                                            monkeypatch)
 
 
-def test_target_needs_enough_samples(net, tables):
+def test_target_needs_enough_samples(net):
     cfg = sg.SimConfig(
         t_final=1.0,
         N=64,
@@ -313,12 +307,12 @@ def test_target_needs_enough_samples(net, tables):
         ic=sg.ICSpec(eps=0.1),
         record_every=10**9,
     )
-    rec = run_linear(cfg, net, tables(64))
+    rec = run_linear(cfg, net)
     with pytest.raises(DomainError):
         target_residual(rec, net)
 
 
-def test_steady_trajectory_has_zero_residual(net, tables, window):
+def test_steady_trajectory_has_zero_residual(net, window):
     cfg = sg.SimConfig(
         t_final=0.2 * window,
         N=64,
@@ -327,12 +321,12 @@ def test_steady_trajectory_has_zero_residual(net, tables, window):
         ic=sg.ICSpec(eps=0.0),
         record_every=1,
     )
-    rec = run_linear(cfg, net, tables(64))
+    rec = run_linear(cfg, net)
     assert target_residual(rec, net) == pytest.approx(0.0, abs=1e-13)
 
 
 @pytest.fixture(scope="module")
-def residual_family(net, tables, window):
+def residual_family(net, window):
     def residual(N, k):
         cfg = sg.SimConfig(
             t_final=window,
@@ -342,7 +336,7 @@ def residual_family(net, tables, window):
             ic=sg.ICSpec(eps=0.1, k1=k, k2=k),
             record_every=1,
         )
-        return target_residual(run_linear(cfg, net, tables(N)), net)
+        return target_residual(run_linear(cfg, net), net)
 
     return residual
 
@@ -366,7 +360,7 @@ def test_target_residual_shrinks_with_resolution(residual_family):
     assert r256 < r128
 
 
-def test_junction_row_enforced_each_step(net, rows, tables, window):
+def test_junction_row_enforced_each_step(net, rows, window):
     cfg = sg.SimConfig(
         t_final=0.5 * window,
         N=64,
@@ -375,7 +369,7 @@ def test_junction_row_enforced_each_step(net, rows, tables, window):
         ic=sg.ICSpec(eps=0.1),
         record_every=4,
     )
-    rec = run_linear(cfg, net, tables(64))
+    rec = run_linear(cfg, net)
     worst = 0.0
     for i in range(1, len(rec.times)):
         lhs = rec.vtil2[i][-1]
@@ -428,7 +422,7 @@ def _reference_target_residual(record, net):
     phase2=st.floats(0.0, 2.0 * np.pi),
 )
 def test_stacked_target_residual_matches_pair_loop(
-    net, tables, window, run, record_every, eps, k, phase1, phase2
+    net, window, run, record_every, eps, k, phase1, phase2
 ):
     # open-loop records with targets let the boundary relations win, and the
     # result is then a numpy scalar; the interior maxima give a float
@@ -437,12 +431,11 @@ def test_stacked_target_residual_matches_pair_loop(
                        ic=sg.ICSpec(eps=eps, k1=k, k2=4 - k, phase1=phase1, phase2=phase2),
                        record_every=record_every)
     closed = loop == "closed"
-    rec = (run_linear if model == "linear" else run_nonlinear)(
-        cfg, net, tables(32) if closed else None)
+    rec = (run_linear if model == "linear" else run_nonlinear)(cfg, net)
     if not closed:
         # an open-loop run records no targets: transform its states the way
         # the recorder does for a closed loop
-        ops = sg.FeedbackOperators(*tables(32), net, rec.grid1, rec.grid2)
+        ops = sg.FeedbackOperators(net, rec.grid1, rec.grid2)
         rec.target = backstepping_transform(
             ops, unscale_w(rec.grid1, rec.wbar1, net.ss1, net.seg1), rec.vtil1,
             unscale_w(rec.grid2, rec.wbar2, net.ss2, net.seg2), rec.vtil2)
@@ -452,12 +445,12 @@ def test_stacked_target_residual_matches_pair_loop(
 
 
 @pytest.mark.parametrize("run", [run_linear, run_nonlinear])
-def test_target_states_share_the_record_grids(net, tables, window, run):
+def test_target_states_share_the_record_grids(net, window, run):
     # a target state holds the grids of the record, not copies of them
     cfg = sg.SimConfig(t_final=0.1 * window, N=32, loop_mode="closed",
                        model="linear" if run is run_linear else "nonlinear",
                        ic=sg.ICSpec(eps=0.03), record_every=4)
-    rec = run(cfg, net, tables(32))
+    rec = run(cfg, net)
     assert len(rec.target) == len(rec.times) > 3
     for st_ in rec.target:
         assert st_.grid1 is rec.grid1 and st_.grid2 is rec.grid2

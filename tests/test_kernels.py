@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from stopngo.acceptance import _scaled_pde_residual
 from stopngo.control import trap_weights
 from stopngo.errors import DomainError
-from stopngo.kernels import kernel_residual, save_table, solve_kernels
+from stopngo.kernels import kernel_constant, kernel_residual, save_table, solve_kernels
 from stopngo.riemann import boundary_rows, coupling_coefficient, scale_factor
 from test_control import random_networks
 from test_stability import _criterion_2_network
@@ -226,6 +226,23 @@ def test_tables_bounded_on_admissible_networks(u, M):
         size, gain = max(size, scale), max(gain, _transform_gain(tb))
     target(size, label="max|K^vw|")
     target(gain, label="transform gain")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    u=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+    reverse=st.booleans(),
+    M=st.sampled_from([16, 64, 256]),
+)
+def test_kernel_constant_is_the_tables_constant(u, reverse, M):
+    # one source for D_i, over criterion 2's ranges: the table's constant
+    # is kernel_constant's, bit for bit
+    n = _criterion_2_network(u, reverse)
+    assume(n is not None)
+    for sid, seg, ss, sign in ((1, n.seg1, n.ss1, -1.0), (2, n.seg2, n.ss2, 1.0)):
+        D = kernel_constant(sid, n)
+        assert D == sign / (seg.tau * seg.gamma * ss.p_star)
+        assert np.float64(D).tobytes() == np.float64(solve_kernels(sid, n, M=M).D).tobytes()
 
 
 def _kernel_residual_by_rows(table, net):

@@ -132,18 +132,17 @@ def test_steady_state_preserved_nonlinear(net):
 
 @pytest.mark.parametrize("which", ["default", "gamma"])
 @pytest.mark.parametrize("loop", ["open", "closed"])
-def test_mass_accounting_with_perturbation(net, gamma_net, tables, gamma_tables, which, loop):
+def test_mass_accounting_with_perturbation(net, gamma_net, which, loop):
     # the sub-cycled end half-cells hand both sides of each end interface
     # one flux, so the vehicle count moves only by dt U0 in either loop. On
     # the gamma network eps = 0.04 already needs an inlet ghost density
     # above rho_max, with either step rule, so it runs at 0.02
-    net, tb, eps = ((gamma_net, gamma_tables(96), 0.02) if which == "gamma"
-                    else (net, tables(96), 0.05))
+    net, eps = (gamma_net, 0.02) if which == "gamma" else (net, 0.05)
     cfg = sg.SimConfig(
         t_final=net.ss1.kappa + net.ss2.kappa, N=96, loop_mode=loop, model="nonlinear",
         ic=sg.ICSpec(eps=eps), record_every=64,
     )
-    rec = run_nonlinear(cfg, net, tb if loop == "closed" else None)
+    rec = run_nonlinear(cfg, net)
     assert rec.mass_err < 1e-10
 
 
@@ -155,10 +154,9 @@ def test_equilibrium_kept_on_admissible_networks(loop, u):
     # the vehicle count in both loops: every flux is q* to round-off
     net = _criterion_2_network(u)
     assume(net is not None)
-    tb = (sg.solve_kernels(1, net, M=64), sg.solve_kernels(2, net, M=64)) if loop == "closed" else None
     cfg = sg.SimConfig(t_final=net.ss1.kappa + net.ss2.kappa, N=64, loop_mode=loop,
                        model="nonlinear", ic=sg.ICSpec(eps=0.0), record_every=64)
-    rec = run_nonlinear(cfg, net, tb)
+    rec = run_nonlinear(cfg, net)
     drift = max(
         np.abs(rec.rho1 / net.ss1.rho_star - 1.0).max(),
         np.abs(rec.v1 / net.ss1.v_star - 1.0).max(),
@@ -226,12 +224,12 @@ def test_open_loop_dissipative_without_coupling(net, window, monkeypatch):
     assert np.all(later <= now + 1e-12 * tot[0])
 
 
-def test_closed_loop_linear_contracts(net, tables, window):
+def test_closed_loop_linear_contracts(net, window):
     cfg = sg.SimConfig(
         t_final=3.0 * window, N=128, loop_mode="closed", model="linear",
         ic=sg.ICSpec(eps=0.1), record_every=8,
     )
-    rec = run_linear(cfg, net, tables(128))
+    rec = run_linear(cfg, net)
     tot = np.sqrt(np.asarray(rec.norm1) ** 2 + np.asarray(rec.norm2) ** 2)
     assert tot[-1] <= 0.05 * tot[0]
     hist = norms_and_rate(rec)
@@ -245,24 +243,13 @@ def test_closed_linear_run_memory_is_bounded(net):
     # simulated), and one (N+1)^2 float array alone (8.4 MB) breaks the bound
     cfg = sg.SimConfig(t_final=5.0, N=1024, loop_mode="closed", model="linear",
                        ic=sg.ICSpec(eps=0.05))
-    # tables on the simulation grid, solved before the trace starts
-    tb = (sg.solve_kernels(1, net, M=1024), sg.solve_kernels(2, net, M=1024))
     tracemalloc.start()
     try:
-        run_linear(cfg, net, tb)
+        run_linear(cfg, net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-
-
-def test_closed_nonlinear_requires_tables(net):
-    cfg = sg.SimConfig(
-        t_final=5.0, N=64, loop_mode="closed", model="nonlinear",
-        ic=sg.ICSpec(eps=0.05), record_every=8,
-    )
-    with pytest.raises(DomainError):
-        run_nonlinear(cfg, net)
 
 
 def test_inlet_ghost_density_failure(net, window):
@@ -282,8 +269,7 @@ def test_corner_closed_loop_stops_where_the_open_loop_does():
     # loop stopped on a non-finite state; with the bounded kernels it stops
     # where the open loop does, on the plant's inlet bound (v2* = 0.06 m/s)
     net = _criterion_2_network(CORNER, q_range=(0.02, 0.9))
-    tables = (sg.solve_kernels(1, net, M=64), sg.solve_kernels(2, net, M=64))
-    for loop, tb in (("open", None), ("closed", tables)):
+    for loop in ("open", "closed"):
         cfg = sg.SimConfig(
             t_final=60.0, N=64, loop_mode=loop, model="nonlinear",
             ic=sg.ICSpec(eps=1e-3), record_every=8,
@@ -291,7 +277,7 @@ def test_corner_closed_loop_stops_where_the_open_loop_does():
         with pytest.raises(
             SimulationError, match="inlet ghost density reached rho_max at step 0$"
         ):
-            run_nonlinear(cfg, net, tb)
+            run_nonlinear(cfg, net)
 
 
 def test_density_pushed_above_rho_max_raises(net, window, monkeypatch):
@@ -438,14 +424,14 @@ def test_density_at_the_floor_leaves_the_congested_regime(net, window, monkeypat
         run_nonlinear(cfg, net)
 
 
-def test_records_do_not_alias_the_work_buffers(net, tables, window):
+def test_records_do_not_alias_the_work_buffers(net, window):
     # the stepper overwrites its state and work arrays in place every step;
     # the first record must still hold the initial condition after the run
     cfg = sg.SimConfig(
         t_final=0.05 * window, N=64, loop_mode="closed", model="nonlinear",
         ic=sg.ICSpec(eps=0.05, phase1=0.4), record_every=1,
     )
-    rec = run_nonlinear(cfg, net, tables(64))
+    rec = run_nonlinear(cfg, net)
     (rho1, v1), (rho2, v2) = initial_condition(cfg.ic, net, cfg.N)
     assert rec.n_steps > 10
     assert np.array_equal(rec.rho1[0], rho1)
@@ -455,7 +441,7 @@ def test_records_do_not_alias_the_work_buffers(net, tables, window):
 
 
 @pytest.mark.filterwarnings("error")
-def test_closed_loop_run_and_export_print_nothing(net, tables, window, tmp_path, capfd):
+def test_closed_loop_run_and_export_print_nothing(net, window, tmp_path, capfd):
     # the benchmark reads a JSON result from the last line of its output, so
     # stepping and exporting must write nothing to stdout or stderr; pytest
     # captures warnings apart from capfd, so they are made errors here
@@ -463,7 +449,7 @@ def test_closed_loop_run_and_export_print_nothing(net, tables, window, tmp_path,
         t_final=0.05 * window, N=64, loop_mode="closed", model="nonlinear",
         ic=sg.ICSpec(eps=0.05), record_every=8,
     )
-    rec = run_nonlinear(cfg, net, tables(64))
+    rec = run_nonlinear(cfg, net)
     export_states_csv(rec, tmp_path / "states.csv")
     export_norms_csv(rec, tmp_path / "norms.csv")
     out, err = capfd.readouterr()
@@ -658,7 +644,7 @@ def test_interior_linearization_gap_is_second_order(net):
     assert 3.4 <= gap(0.04) / gap(0.02) <= 4.6
 
 
-def _per_segment_reference(cfg, net, tables=None, calls=None):
+def _per_segment_reference(cfg, net, calls=None):
     """The nonlinear step written segment by segment, as a reference for the
     stacked stepper: (times, u0, rho1, v1, rho2, v2) after every step, plus
     mass_err. Same expressions in the same operand order, so the stacked
@@ -676,7 +662,7 @@ def _per_segment_reference(cfg, net, tables=None, calls=None):
     N = cfg.N
     h = seg1.length / N
     x1, x2 = np.linspace(0.0, seg1.length, N + 1), np.linspace(-seg1.length, 0.0, N + 1)
-    ops = sg.FeedbackOperators(*tables, net, x1, x2) if tables else None
+    ops = sg.FeedbackOperators(net, x1, x2) if cfg.loop_mode == "closed" else None
     wc = trap_weights(N + 1, h)
     (rho1, v1), (rho2, v2) = initial_condition(cfg.ic, net, N)
     rho, v = [rho1, rho2], [v1, v2]
@@ -750,14 +736,13 @@ def _per_segment_reference(cfg, net, tables=None, calls=None):
 @pytest.mark.parametrize("loop", ["open", "closed"])
 def test_stacked_stepper_matches_per_segment_reference(net, gamma_net, which, loop):
     net = gamma_net if which == "gamma" else net
-    tables = (sg.solve_kernels(1, net, M=64), sg.solve_kernels(2, net, M=64))
     cfg = sg.SimConfig(
         t_final=0.2 * (net.ss1.kappa + net.ss2.kappa), N=64, loop_mode=loop,
         model="nonlinear", ic=sg.ICSpec(eps=0.02, k1=2, phase1=0.4, phase2=4.3),
         record_every=1,
     )
-    rec = run_nonlinear(cfg, net, tables if loop == "closed" else None)
-    ref, mass_err = _per_segment_reference(cfg, net, tables if loop == "closed" else None)
+    rec = run_nonlinear(cfg, net)
+    ref, mass_err = _per_segment_reference(cfg, net)
     assert rec.n_steps > 100
     for got, want in zip((rec.times, rec.u0, rec.rho1, rec.v1, rec.rho2, rec.v2), ref):
         assert got.shape == want.shape
@@ -765,14 +750,14 @@ def test_stacked_stepper_matches_per_segment_reference(net, gamma_net, which, lo
     assert rec.mass_err == mass_err
 
 
-def _per_record_reference(rec, net, tables, physical):
+def _per_record_reference(rec, net, closed, physical):
     """Every derived field and target state of ``rec``, built one record at a
     time from the rows the stepper holds: to_riemann and scale_w from
     (rho, v), or unscale_w and the affine inverse from (w-bar, v-tilde); each
     record's trapezoid norm and L-infinity deviation; one transform per
     record, on one-row blocks."""
     grids = (rec.grid1, rec.grid2)
-    ops = sg.FeedbackOperators(*tables, net, *grids) if tables else None
+    ops = sg.FeedbackOperators(net, *grids) if closed else None
     cols, targets = {}, []
     for k in range(len(rec.times)):
         riem = []
@@ -812,20 +797,19 @@ def _per_record_reference(rec, net, tables, physical):
     phase2=st.floats(0.0, 2.0 * np.pi),
 )
 def test_batched_record_matches_per_record_derivation(
-    net, tables, model, loop, record_every, eps, k1, k2, phase1, phase2
+    net, model, loop, record_every, eps, k1, k2, phase1, phase2
 ):
     # the recorder keeps the stepper's rows and derives the rest once per
     # run; every field and target state must carry the per-record bits
     ic = sg.ICSpec(eps=eps, k1=k1, k2=k2, phase1=phase1, phase2=phase2)
     cfg = sg.SimConfig(t_final=40.0, N=32, loop_mode=loop, model=model, ic=ic,
                        record_every=record_every)
-    tb = tables(32) if loop == "closed" else None
-    rec = (run_nonlinear if model == "nonlinear" else run_linear)(cfg, net, tb)
+    rec = (run_nonlinear if model == "nonlinear" else run_linear)(cfg, net)
     # the last record closes a partial stride
     assume(record_every == 1 or rec.n_steps % record_every)
     assert len(rec.times) == rec.n_steps // record_every + 1 + (record_every > 1)
     assert rec.times[-1] == cfg.t_final
-    fields, targets = _per_record_reference(rec, net, tb, model == "nonlinear")
+    fields, targets = _per_record_reference(rec, net, loop == "closed", model == "nonlinear")
     assert len(fields) == 12
     for key, want in fields.items():
         got = getattr(rec, key)
@@ -847,7 +831,7 @@ def test_batched_record_matches_per_record_derivation(
             assert np.array_equal(got, scale_w(x, to_riemann(rho, v, ss, seg)[0], ss, seg))
 
 
-def _reference_run_linear(cfg, net, tables=None):
+def _reference_run_linear(cfg, net):
     """The linear stepper one row at a time, four copies and four slice
     expressions per step, as a reference for the flat stacked state. Same
     expressions in the same operand order, so the stacked stepper must
@@ -859,7 +843,7 @@ def _reference_run_linear(cfg, net, tables=None):
     h = L / N
     x1 = np.linspace(0.0, L, N + 1)
     x2 = np.linspace(-L, 0.0, N + 1)
-    ops = sg.FeedbackOperators(*tables, net, x1, x2) if tables else None
+    ops = sg.FeedbackOperators(net, x1, x2) if closed else None
     (rho1, u1), (rho2, u2) = initial_condition(cfg.ic, net, N)
     w1, v1 = to_riemann(rho1, u1, ss1, seg1)
     w2, v2 = to_riemann(rho2, u2, ss2, seg2)
@@ -931,20 +915,18 @@ def _reference_run_linear(cfg, net, tables=None):
     span=st.floats(0.05, 0.6),
 )
 def test_flat_linear_stepper_matches_row_reference(
-    net, gamma_net, tables, gamma_tables, which, loop, N, record_every, eps, k1, k2, phase1,
-    phase2, span
+    net, gamma_net, which, loop, N, record_every, eps, k1, k2, phase1, phase2, span
 ):
     # the flat state must give every record, target state and beta2 trace
     # the bits of the row-by-row loop, the closed loop's junction solve included
-    net, tb = (gamma_net, gamma_tables(N)) if which == "gamma" else (net, tables(N))
+    net = gamma_net if which == "gamma" else net
     cfg = sg.SimConfig(
         t_final=span * (net.ss1.kappa + net.ss2.kappa), N=N,
         loop_mode=loop, model="linear",
         ic=sg.ICSpec(eps=eps, k1=k1, k2=k2, phase1=phase1, phase2=phase2),
         record_every=record_every,
     )
-    tb = tb if loop == "closed" else None
-    got, want = run_linear(cfg, net, tb), _reference_run_linear(cfg, net, tb)
+    got, want = run_linear(cfg, net), _reference_run_linear(cfg, net)
     assert got.n_steps == want.n_steps and got.n_steps > 10
     assert (got.trace_times is None) == (loop == "open")
     for key, value in vars(want).items():
@@ -1035,7 +1017,7 @@ def test_boundary_algebra_matches_pressure_reference(net, gamma_net, which):
     assert 2 * sum(returned) >= len(returned) >= 100
 
 
-def test_stepper_hands_the_algebra_its_own_pressure(gamma_net, gamma_tables, monkeypatch):
+def test_stepper_hands_the_algebra_its_own_pressure(gamma_net, monkeypatch):
     # two algebra calls per step, on the state at t^n and on the half-step
     # end states. The w invariants at the outlet and the junction are v + p,
     # p from the stepper's stacked pressure_law (the second call's on the
@@ -1056,9 +1038,9 @@ def test_stepper_hands_the_algebra_its_own_pressure(gamma_net, gamma_tables, mon
     cfg = sg.SimConfig(t_final=0.2 * (net.ss1.kappa + net.ss2.kappa), N=N,
                        loop_mode="closed", model="nonlinear",
                        ic=sg.ICSpec(eps=0.02, k1=2, phase1=0.4, phase2=4.3), record_every=1)
-    rec = run_nonlinear(cfg, net, gamma_tables(N))
+    rec = run_nonlinear(cfg, net)
     blocks = []  # the (rho, v) end blocks that the reference's algebra calls read
-    _per_segment_reference(cfg, net, gamma_tables(N), calls=blocks)
+    _per_segment_reference(cfg, net, calls=blocks)
     assert len(calls) == len(blocks) == 2 * rec.n_steps > 200
     segs = (net.seg1, net.seg2)
     coeff = np.array([[s.pressure_coeff] for s in segs])
@@ -1094,14 +1076,40 @@ def test_relaxation_source_drops_the_pressure(net, gamma_net, which, seg, rho_fr
     assert abs(p_free - p_form) <= 4.0 * np.spacing((abs(y) + rho * params.v_max) / params.tau)
 
 
+def _record_bits(rec):
+    """Every field of a SimRecord as bytes, the target states' rows included."""
+    out = {}
+    for f in dataclasses.fields(rec):
+        value = getattr(rec, f.name)
+        if f.name == "target" and value is not None:
+            value = [getattr(st, k) for st in value for k in ("alpha1", "beta1", "alpha2", "beta2")]
+            value = b"".join(a.tobytes() for a in value)
+        out[f.name] = value.tobytes() if isinstance(value, np.ndarray) else value
+    return out
+
+
 @pytest.mark.parametrize("run", [run_linear, run_nonlinear])
-def test_open_loop_takes_no_kernel_tables(net, tables, run):
-    cfg = sg.SimConfig(t_final=10.0, N=32, loop_mode="open")
-    model = "linear" if run is run_linear else "nonlinear"
-    with pytest.raises(DomainError, match=f"^open-loop {model} run takes no kernel tables$"):
-        run(cfg, net, tables(32))
-    with pytest.raises(DomainError, match=f"^closed-loop {model} run requires kernel tables$"):
-        run(dataclasses.replace(cfg, loop_mode="closed"), net)
+@pytest.mark.parametrize("loop", ["open", "closed"])
+def test_runners_ignore_kernel_tables(net, gamma_tables, window, run, loop):
+    # the gains are the network's own kernel constants: tables solved on
+    # another network, handed over as the benchmark harness does, change no bit
+    cfg = sg.SimConfig(t_final=0.3 * window, N=32, loop_mode=loop,
+                       model="linear" if run is run_linear else "nonlinear",
+                       ic=sg.ICSpec(eps=0.03, phase1=0.4), record_every=5)
+    plain = run(cfg, net)
+    assert (plain.target is not None) == (loop == "closed")
+    assert _record_bits(run(cfg, net, gamma_tables(32))) == _record_bits(plain)
+
+
+def test_sim_config_refuses_non_integer_counts():
+    # N = 64.5 died in linspace, and record_every = 2.5 recorded every 5th step
+    for bad in (64.5, 64.0, "64"):
+        with pytest.raises(DomainError, match=f"^N must be an integer of at least 32, got {bad}$"):
+            sg.SimConfig(t_final=10.0, N=bad)
+    for bad in (2.5, 2.0, 0):
+        with pytest.raises(DomainError, match=f"^record_every must be a positive integer, got {bad}$"):
+            sg.SimConfig(t_final=10.0, record_every=bad)
+    assert sg.SimConfig(t_final=10.0, N=np.int64(64), record_every=np.int64(3)).N == 64
 
 
 @pytest.mark.parametrize("run", [run_linear, run_nonlinear])
@@ -1110,12 +1118,11 @@ def test_runners_refuse_segments_of_unequal_length(net, run, loop):
     # both steppers lay the two segments on one grid spacing, so a longer
     # segment 2 would be simulated on segment 1's interval
     uneven = sg.make_network(net.seg1, dataclasses.replace(net.seg2, length=3000.0), 6.0)
-    tables = (sg.solve_kernels(1, uneven, M=32), sg.solve_kernels(2, uneven, M=32))
     cfg = sg.SimConfig(t_final=10.0, N=32, loop_mode=loop,
                        model="linear" if run is run_linear else "nonlinear")
     with pytest.raises(DomainError, match=r"^the steppers need segments of equal length, "
                                           r"got 2000\.0 m and 3000\.0 m$"):
-        run(cfg, uneven, tables if loop == "closed" else None)
+        run(cfg, uneven)
 
 
 def _junction_trace(index, value):
@@ -1129,7 +1136,7 @@ def _junction_trace(index, value):
 
 
 @pytest.mark.parametrize("case", ["collapse", "junction density", "ramp"])
-def test_boundary_errors_keep_step_and_message(net, tables, window, monkeypatch, case):
+def test_boundary_errors_keep_step_and_message(net, window, monkeypatch, case):
     # three of the boundary errors of the nonlinear stepper, at the step and
     # with the message the range-checked pressure() algebra gave; the fourth,
     # the inlet ghost density, is test_inlet_ghost_density_failure
@@ -1149,4 +1156,4 @@ def test_boundary_errors_keep_step_and_message(net, tables, window, monkeypatch,
     cfg = sg.SimConfig(t_final=window, N=64, loop_mode=loop, model="nonlinear",
                        ic=sg.ICSpec(eps=0.02), record_every=8)
     with pytest.raises(SimulationError, match=message):
-        run_nonlinear(cfg, net, tables(64) if loop == "closed" else None)
+        run_nonlinear(cfg, net)
