@@ -7,8 +7,8 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import kernel_constant
-from .model import NetworkParams
-from .riemann import boundary_rows, riemann_law_params, scale_factor
+from .model import NetworkParams, stacked
+from .riemann import boundary_rows
 
 
 @dataclass
@@ -21,10 +21,11 @@ class TargetState:
     beta2: np.ndarray
 
 
-def trap_weights(n: int, h: float) -> np.ndarray:
-    """Trapezoid weights on n >= 2 nodes of spacing h."""
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
+def trap_weights(n: int, h) -> np.ndarray:
+    """Trapezoid weights on n >= 2 nodes of spacing h; a (k, 1) column of
+    spacings gives k rows."""
+    w = np.full(np.shape(h)[:-1] + (n,), h)
+    w[..., :: n - 1] = 0.5 * h
     return w
 
 
@@ -49,29 +50,26 @@ class FeedbackOperators:
     (rho v - q*) - (1 + 1/r)(v - v*), it is held as two (2, N+1) weight rows
     on the excess flow rho v - q* and the excess speed v - v*, with g_t,
     g_control and the Riemann-map parameters folded in, and the centre rows
-    q* and v*. Also holds D_i, the grid spacings and scale_w's factors
-    exp(x/(tau v*)) on the state grids.
+    q* and v*. Also holds, one row per segment, D as a (2, 1) column, the
+    grid spacings h as another, the junction rows j and scale_w's factors
+    exp(x/(tau v*)) on the state grids, with the grids as given.
     """
 
     def __init__(self, net: NetworkParams, grid1: np.ndarray, grid2: np.ndarray):
         self.grid1, self.grid2 = grid1, grid2
-        self.D1, self.D2 = kernel_constant(1, net), kernel_constant(2, net)
-        self.h1, self.h2 = ((g[-1] - g[0]) / (g.size - 1) for g in (grid1, grid2))
-        self.trap1 = trap_weights(grid1.size, self.h1)
-        self.trap2 = trap_weights(grid2.size, self.h2)
-        self.j1, self.j2 = self.D1 * self.trap1, self.D2 * self.trap2
-        self.scale1 = scale_factor(grid1, net.ss1, net.seg1)
-        self.scale2 = scale_factor(grid2, net.ss2, net.seg2)
+        grids = np.stack((grid1, grid2))
+        n = grids.shape[1]
+        self.D = np.array([[kernel_constant(1, net)], [kernel_constant(2, net)]])
+        self.h = (grids[:, -1:] - grids[:, :1]) / (n - 1)
+        self.j = self.D * trap_weights(n, self.h)
+        # full rows rather than (2, 1) columns: numpy reads them faster, same bits
+        self.v_star, self.q_star, gamma, p_star, r, tau = stacked(
+            net, n, "v_star", "q_star", "gamma", "p_star", "r", "tau")
+        self.scale = np.exp(grids / (tau * self.v_star))
         rows = boundary_rows(net)
-        # the map's parameters as full rows rather than (2, 1) columns: numpy
-        # reads them faster, same bits
-        self.v_star, self.q_star, gain, r = (
-            np.repeat([[a], [b]], grid1.size, axis=1)
-            for a, b in zip(riemann_law_params(net.ss1, net.seg1),
-                            riemann_law_params(net.ss2, net.seg2)))
         c = np.array([[-rows.g_t], [1.0]]) / rows.g_control
-        j = np.stack((self.j1, self.j2))
-        self.law_flux, self.law_v = c * gain * j, -c * (1.0 + 1.0 / r) * j
+        self.law_flux = c * (gamma * p_star / self.q_star) * self.j
+        self.law_v = -c * (1.0 + 1.0 / r) * self.j
 
 
 def control_input(ops: FeedbackOperators, flux, v) -> float:
@@ -94,9 +92,9 @@ def backstepping_transform(ops: FeedbackOperators, w1, v1, w2, v2) -> list[Targe
     rows of the result blocks and whose grids are the operators' own.
     """
     # segment 1 integrates over [x, L], segment 2 over [-L, x]
-    tail1 = _cumulative_trapezoid((w1 - v1)[:, ::-1], ops.h1)[:, ::-1]
-    head2 = _cumulative_trapezoid(w2 - v2, ops.h2)
-    blocks = (ops.scale1 * w1, v1 - ops.D1 * tail1, ops.scale2 * w2, v2 - ops.D2 * head2)
+    tail1 = _cumulative_trapezoid((w1 - v1)[:, ::-1], ops.h[0])[:, ::-1]
+    head2 = _cumulative_trapezoid(w2 - v2, ops.h[1])
+    blocks = (ops.scale[0] * w1, v1 - ops.D[0] * tail1, ops.scale[1] * w2, v2 - ops.D[1] * head2)
     return [TargetState(ops.grid1, ops.grid2, *rows) for rows in zip(*blocks)]
 
 

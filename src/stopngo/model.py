@@ -7,7 +7,7 @@ metered on-ramp joins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -73,6 +73,25 @@ class NetworkParams:
         q = self.ss1.q_star
         if abs(self.ss1.q_star - self.ss2.q_star) > _REL_TOL * abs(q):
             raise DomainError("steady fluxes of the two segments do not match")
+
+
+_SEGMENT_NAMES = {f.name for f in fields(SegmentParams)} | {"pressure_coeff"}
+_STEADY_NAMES = {f.name for f in fields(SteadyState)}
+
+
+def stacked(net: NetworkParams, n: int, *names: str) -> np.ndarray:
+    """The named SegmentParams or SteadyState values of both segments, each as
+    a (2, n) array of n copies per segment, segment 1 first. Returns them
+    along a leading axis, one per name, so they unpack in the order asked."""
+    pairs = []
+    for name in names:
+        if name in _SEGMENT_NAMES:
+            pairs.append((getattr(net.seg1, name), getattr(net.seg2, name)))
+        elif name in _STEADY_NAMES:
+            pairs.append((getattr(net.ss1, name), getattr(net.ss2, name)))
+        else:
+            raise DomainError(f"no segment parameter or steady-state value named {name!r}")
+    return np.array([[[a] * n, [b] * n] for a, b in pairs], dtype=float)
 
 
 def _check_rho(rho, params: SegmentParams):

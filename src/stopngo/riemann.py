@@ -25,16 +25,9 @@ def to_riemann(rho, v, ss: SteadyState, params: SegmentParams):
     (rho v, v), since 1 - gamma p*/v* = -1/r; it is the quantity the plant
     transports at v*. The arrays may be rows or (K, N+1) blocks.
     """
-    v_star, q_star, gain, r = riemann_law_params(ss, params)
-    vt = v - v_star
-    wt = gain * (rho * v - q_star) - vt / r
+    vt = v - ss.v_star
+    wt = params.gamma * ss.p_star / ss.q_star * (rho * v - ss.q_star) - vt / ss.r
     return wt, vt
-
-
-def riemann_law_params(ss: SteadyState, params: SegmentParams):
-    """(v*, q*, gamma p*/q*, r): the parameters of to_riemann, which the
-    feedback law's weight rows also fold in."""
-    return ss.v_star, ss.q_star, params.gamma * ss.p_star / ss.q_star, ss.r
 
 
 def scale_factor(grid, ss: SteadyState, params: SegmentParams) -> np.ndarray:

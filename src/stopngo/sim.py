@@ -19,7 +19,7 @@ import numpy as np
 from .control import FeedbackOperators, TargetState, backstepping_transform, control_input
 from .control import trap_weights
 from .errors import DomainError, SimulationError
-from .model import NetworkParams, equilibrium_velocity, pressure, pressure_law
+from .model import NetworkParams, equilibrium_velocity, pressure, pressure_law, stacked
 from .riemann import (
     boundary_rows,
     coupling_coefficient,
@@ -207,10 +207,11 @@ def run_linear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     kernels act on w-tilde = exp(-x/(tau v*)) w-bar, so that factor is
     folded into the junction rows once and applied to the recorded states.
 
-    The state is one flat array w-bar_1 | w-bar_2 | v-tilde_1 | v-tilde_2 in
-    two buffers that swap each step. One forward difference over it serves
-    all four rows, with per-node coefficient rows built once per step length;
-    the boundary rows then overwrite the nodes where a difference spans two
+    The state is one flat array w-bar_1 | w-bar_2 | v-tilde_1 | v-tilde_2,
+    updated in place. One forward difference over it serves all four rows,
+    with per-node coefficient rows built once per step length; the v-tilde
+    block, which reads the old w-bar, steps before the w-bar block. The
+    boundary rows then overwrite the nodes where a difference spans two
     rows, and one finiteness check covers the whole state.
 
     ``tables`` is ignored: the gains are the network's kernel constants. It
@@ -230,8 +231,13 @@ def run_linear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     wt1, vt1 = to_riemann(rho1, vel1, ss1, seg1)
     wt2, vt2 = to_riemann(rho2, vel2, ss2, seg2)
     S = np.concatenate((scale_w(x1, wt1, ss1, seg1), scale_w(x2, wt2, ss2, seg2), vt1, vt2))
-    S_next = np.empty(4 * M)
     last = 4 * M - 1  # v-tilde_2(0), the junction trace
+    # the slices a step uses, taken once: the rows, the two ends of the
+    # differences, the w-bar nodes a step writes and reads, and the v-tilde
+    # nodes it writes
+    w1, w2, v1, v2 = S[:M], S[M : 2 * M], S[2 * M : 3 * M], S[3 * M :]
+    S_tail, S_head = S[1:], S[:-1]
+    S_w1, S_w, S_v = S[1 : 2 * M], S[: 2 * M - 1], S[2 * M : last]
     D = np.empty(last)  # forward differences, then the products of a step
     Dw, Dv = D[: 2 * M - 1], D[2 * M :]
     # entry i of a coefficient row serves node 1 + i of the w-bar block and
@@ -243,20 +249,14 @@ def run_linear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     rows = boundary_rows(net)
     dt0 = cfg.cfl * h / max(ss1.lambda_w, ss1.lambda_v, ss2.lambda_w, ss2.lambda_v)
 
-    def views(buf):  # the slices of a buffer that a step uses, taken once
-        return (buf, buf[1:], buf[:-1], buf[1 : 2 * M], buf[2 * M : last], buf[: 2 * M - 1],
-                (buf[:M], buf[2 * M : 3 * M], buf[M : 2 * M], buf[3 * M :]))
-
-    cur, nxt = views(S), views(S_next)
     if closed:
         # the junction rows j_i of the transform act on w-tilde and on minus
         # v-tilde; scale_factor of -x is exp(-x/(tau v*)), the map from w-bar
         # to w-tilde
-        k1v0, k2vN = -ops.j1, -ops.j2
-        k1w0 = ops.j1 * scale_factor(-x1, ss1, seg1)
-        k2wN = ops.j2 * scale_factor(-x2, ss2, seg2)
+        kw1, kw2 = ops.j * np.stack((scale_factor(-x1, ss1, seg1), scale_factor(-x2, ss2, seg2)))
+        kv1, kv2 = -ops.j
         # the junction row contains v2[N] inside its own quadrature; solve for it
-        denom = 1.0 - k2vN[N]
+        denom = 1.0 - kv2[N]
         trace_t, trace_b2 = [], []
 
     rec = _Recorder(net, x1, x2, ops, physical=False)
@@ -270,34 +270,31 @@ def run_linear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
         dt = min(dt0, cfg.t_final - t)
         if dt != dt_coef:  # the first step, and a shorter last one
             (NW, NV), DTC, dt_coef = speeds * dt / h, dt * c, dt
-        # w-bar: S[1:2M] - NW D[:2M-1]; v-tilde: (S + NV D) + DTC w-bar on
-        # [2M:4M-1], the evaluation order of one row at a time
-        S, S_tail, S_head, S_w1, S_v, S_w, _ = cur
-        S_next, _, _, N_w1, N_v, _, (w1, v1, w2, v2) = nxt
+        # v-tilde: (S + NV D) + DTC w-bar on [2M:4M-1], then w-bar:
+        # S[1:2M] - NW D, the evaluation order of one row at a time
         np.subtract(S_tail, S_head, out=D)
-        Dw *= NW
-        np.subtract(S_w1, Dw, out=N_w1)
         Dv *= NV
-        np.add(S_v, Dv, out=N_v)
-        np.multiply(DTC, S_w, out=Dw)
-        N_v += Dw
+        S_v += Dv
+        np.multiply(DTC, S_w, out=Dv)
+        S_v += Dv
+        Dw *= NW
+        S_w1 -= Dw
 
-        S_next[3 * M - 1] = rows.g_outlet * S_next.item(M - 1)
-        S_next[M] = rows.g_inlet * S_next.item(3 * M)
-        S_next[0] = rows.g_junction_w * S_next.item(2 * M - 1)
-        rhs0 = rows.g_t * S_next.item(2 * M) + rows.g_a * S_next.item(2 * M - 1)
+        S[3 * M - 1] = rows.g_outlet * S.item(M - 1)
+        S[M] = rows.g_inlet * S.item(3 * M)
+        S[0] = rows.g_junction_w * S.item(2 * M - 1)
+        rhs0 = rows.g_t * S.item(2 * M) + rows.g_a * S.item(2 * M - 1)
         if closed:
             # the quadrature sees the old v-tilde_2(0), whose term is taken out
-            S_next[last] = v2_old = S.item(last)
-            i1 = float(k1w0 @ w1 + k1v0 @ v1)
-            i2p = float(k2wN @ w2 + k2vN @ v2) - k2vN[N] * v2_old
-            S_next[last] = (rhs0 + i2p - rows.g_t * i1) / denom
-            i2 = i2p + k2vN[N] * S_next[last]
-            u0 = (S_next[last] - rhs0) / rows.g_control
+            v2_old = S.item(last)
+            i1 = float(kw1 @ w1 + kv1 @ v1)
+            i2p = float(kw2 @ w2 + kv2 @ v2) - kv2[N] * v2_old
+            S[last] = (rhs0 + i2p - rows.g_t * i1) / denom
+            i2 = i2p + kv2[N] * S[last]
+            u0 = (S[last] - rhs0) / rows.g_control
         else:
-            S_next[last] = rhs0
+            S[last] = rhs0
             u0 = 0.0
-        cur, nxt, S = nxt, cur, S_next
         t += dt
         step += 1
         if not np.isfinite(S).all():
@@ -395,17 +392,12 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     wc = trap_weights(M, h)  # also the cell widths: h/2 at the ends, h inside
 
     segs = (seg1, seg2)
-
-    def rows(key, n):  # a segment parameter, one row of n copies per segment
-        return np.array([[getattr(s, key)] * n for s in segs])
-
     # full rows of the parameters, which numpy reads faster than it
     # broadcasts a column; the end block's pressure takes (2, 1) columns. On
     # these shapes numpy's power is its general one at every exponent (see
     # pressure_law), so the two give the same bits
-    coeff, gamma = rows("pressure_coeff", 1), rows("gamma", 1)
-    coeff_n, gamma_n = rows("pressure_coeff", M), rows("gamma", M)
-    rho_max, tau = rows("rho_max", M), rows("tau", M)
+    coeff, gamma = stacked(net, 1, "pressure_coeff", "gamma")
+    coeff_n, gamma_n, rho_max, tau = stacked(net, M, "pressure_coeff", "gamma", "rho_max", "tau")
     v_max = seg1.v_max  # NetworkParams requires both segments to share it
 
     def stacked_pressure(R, in_range, c, g):

@@ -1,14 +1,16 @@
 """Reference implementations that the tests compare the program against.
 
 Each is a direct, unoptimized form of a map the program computes another
-way: the inverse pressure and the inverse Riemann maps, and the dense
-kernel-table path of the feedback law and the Volterra transform.
+way: the inverse pressure and the inverse Riemann maps, the feedback
+operators built one segment at a time, and the dense kernel-table path of
+the feedback law and the Volterra transform.
 """
 import numpy as np
 
 from stopngo.control import TargetState, trap_weights
 from stopngo.errors import DomainError
-from stopngo.riemann import boundary_rows, physical_arrays, riemann_law_params, scale_factor
+from stopngo.kernels import kernel_constant
+from stopngo.riemann import boundary_rows, physical_arrays, scale_factor
 
 
 def inverse_pressure(p_val, params):
@@ -39,8 +41,31 @@ def from_riemann(wt, vt, ss, params):
 def law_rows(wt, vt, ss, params):
     """(rho v, v), the exact affine inverse of to_riemann in the flux and the
     velocity that the feedback law reads; no range guard."""
-    v_star, q_star, gain, r = riemann_law_params(ss, params)
-    return q_star + (wt + vt / r) / gain, v_star + vt
+    gain = params.gamma * ss.p_star / ss.q_star
+    return ss.q_star + (wt + vt / ss.r) / gain, ss.v_star + vt
+
+
+def segment_operators(net, grid1, grid2):
+    """The rows of FeedbackOperators, built one segment at a time: D_i from
+    kernel_constant, h_i from each grid, the trapezoid weights, j_i and the
+    scale_w factors per segment, and the law rows from each segment's
+    to_riemann parameters (v*, q*, gamma p*/q*, r). A dict of the
+    operators' attribute names, with the segment pairs stacked."""
+    segments = ((grid1, net.ss1, net.seg1), (grid2, net.ss2, net.seg2))
+    D = [kernel_constant(1, net), kernel_constant(2, net)]
+    h = [(g[-1] - g[0]) / (g.size - 1) for g in (grid1, grid2)]
+    j = [d * trap_weights(g.size, hi) for d, g, hi in zip(D, (grid1, grid2), h)]
+    v_star, q_star, gain, r = (
+        np.repeat([[a], [b]], grid1.size, axis=1)
+        for a, b in zip(*((ss.v_star, ss.q_star, params.gamma * ss.p_star / ss.q_star, ss.r)
+                          for _, ss, params in segments)))
+    rows = boundary_rows(net)
+    c = np.array([[-rows.g_t], [1.0]]) / rows.g_control
+    j = np.stack(j)
+    return dict(D=np.array([[D[0]], [D[1]]]), h=np.array([[h[0]], [h[1]]]), j=j,
+                scale=np.stack([scale_factor(g, ss, params) for g, ss, params in segments]),
+                v_star=v_star, q_star=q_star,
+                law_flux=c * gain * j, law_v=-c * (1.0 + 1.0 / r) * j)
 
 
 def unscale_w(x, wbar, ss, params):

@@ -3,16 +3,39 @@
 Shares a single run_all() pass across the per-criterion tests; the printed
 lines are the authoritative record (also written by `stopngo verify`).
 """
+import contextlib
+import io
+
 import pytest
 
 from stopngo import acceptance
 
 
 @pytest.fixture(scope="module")
-def results():
-    out = acceptance.run_all()
+def printed():
+    """The results of one run_all() pass and the text it printed."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        out = acceptance.run_all()
     assert len(out) == len(acceptance.CRITERIA)
-    return out
+    return out, text.getvalue()
+
+
+@pytest.fixture(scope="module")
+def results(printed):
+    return printed[0]
+
+
+def test_run_all_prints_one_line_per_criterion(printed):
+    out, text = printed
+    assert text.splitlines() == [res.line for res in out]
+
+
+def test_criterion_8_prints_nothing(capfd):
+    # the two simulate runs it compares keep their summaries off stdout
+    passed, detail = acceptance.criterion_8(acceptance.AcceptanceContext())
+    assert passed, detail
+    assert capfd.readouterr().out == ""
 
 
 def _check(results, index):

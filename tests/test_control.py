@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stopngo as sg
@@ -13,7 +13,8 @@ from stopngo.model import SegmentParams, admissible_flux_interval, make_network
 from stopngo.riemann import boundary_rows, scale_w, to_riemann
 from stopngo.sim import run_linear, run_nonlinear
 
-from oracles import dense_target, dense_u0, law_rows, unscale_w
+from oracles import dense_target, dense_u0, law_rows, segment_operators, unscale_w
+from test_stability import _criterion_2_network
 
 L = 2000.0
 
@@ -173,12 +174,33 @@ def test_operators_read_only_the_kernel_constant(net, gamma_net, monkeypatch):
     # follow it: a constant twice as large doubles them, bit for bit
     for n in (net, gamma_net):
         ops = operators(n, 128)
-        assert (ops.D1, ops.D2) == (kernel_constant(1, n), kernel_constant(2, n))
+        assert ops.D.shape == (2, 1)
+        assert (ops.D[0, 0], ops.D[1, 0]) == (kernel_constant(1, n), kernel_constant(2, n))
         with monkeypatch.context() as m:
             m.setattr(control, "kernel_constant", lambda i, n: 2.0 * kernel_constant(i, n))
             double = operators(n, 128)
         assert np.array_equal(double.law_flux, 2.0 * ops.law_flux)
         assert np.array_equal(double.law_v, 2.0 * ops.law_v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    u=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+    reverse=st.booleans(),
+    N=st.sampled_from([32, 100, 256]),
+)
+def test_operators_match_the_per_segment_construction(u, reverse, N):
+    # the stacked rows carry the bits of the pairs built one segment at a
+    # time, over criterion 2's ranges, and the grids are the caller's own
+    n = _criterion_2_network(u, reverse)
+    assume(n is not None)
+    L = n.seg1.length
+    x1, x2 = np.linspace(0.0, L, N + 1), np.linspace(-L, 0.0, N + 1)
+    ops = sg.FeedbackOperators(n, x1, x2)
+    assert ops.grid1 is x1 and ops.grid2 is x2
+    for key, want in segment_operators(n, x1, x2).items():
+        got = getattr(ops, key)
+        assert got.shape == want.shape and np.array_equal(got, want), key
 
 
 def test_manufactured_integral_against_fine_quadrature(net, tables):

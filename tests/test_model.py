@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from stopngo.model import (
     pressure,
     riemann_coefficients,
     solve_steady_states,
+    stacked,
 )
 from oracles import inverse_pressure
 
@@ -273,3 +275,24 @@ def test_random_networks_flux_match(rng):
         assert abs(n.ss1.q_star - n.ss2.q_star) <= 1e-12 * q
         assert equilibrium_flow(n.ss1.rho_star, segs[0]) == pytest.approx(q, rel=1e-12)
         assert equilibrium_flow(n.ss2.rho_star, segs[1]) == pytest.approx(q, rel=1e-12)
+
+
+def test_stacked_returns_each_segments_values(net, gamma_net):
+    # every field of both dataclasses, and the pressure coefficient, as
+    # (2, n) rows of exact copies, segment 1 first, in the order asked
+    names = ([f.name for f in dataclasses.fields(sg.SegmentParams)] + ["pressure_coeff"]
+             + [f.name for f in dataclasses.fields(sg.SteadyState)])
+    for n in (net, gamma_net):
+        for size in (1, 7):
+            got = stacked(n, size, *reversed(names))
+            assert got.shape == (len(names), 2, size) and got.dtype == float
+            for rows, name in zip(got, reversed(names)):
+                for row, seg, ss in zip(rows, (n.seg1, n.seg2), (n.ss1, n.ss2)):
+                    value = getattr(seg if hasattr(seg, name) else ss, name)
+                    assert np.all(row == value), name
+
+
+@pytest.mark.parametrize("name", ["gama", "rho", "v_star_", "interval", "__init__"])
+def test_stacked_refuses_other_names(net, name):
+    with pytest.raises(DomainError, match=re.escape(repr(name))):
+        stacked(net, 3, "gamma", name)

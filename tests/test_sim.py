@@ -12,6 +12,7 @@ from scipy.integrate import simpson
 import stopngo as sg
 from stopngo.control import backstepping_transform, control_input, trap_weights
 from stopngo.errors import DomainError, SimulationError
+from stopngo.kernels import kernel_constant
 from stopngo.model import equilibrium_velocity, pressure, pressure_law
 from stopngo.riemann import (
     boundary_rows,
@@ -854,9 +855,13 @@ def _reference_run_linear(cfg, net):
     dt0 = cfg.cfl * h / max(ss1.lambda_w, ss1.lambda_v, ss2.lambda_w, ss2.lambda_v)
     trace_t = None
     if ops is not None:
-        k1v0, k2vN = -ops.D1 * ops.trap1, -ops.D2 * ops.trap2
-        k1w0 = ops.D1 * ops.trap1 * scale_factor(-x1, ss1, seg1)
-        k2wN = ops.D2 * ops.trap2 * scale_factor(-x2, ss2, seg2)
+        # the junction rows from the kernel constants and the trapezoid
+        # weights of each grid, not from the operators under test
+        j1 = kernel_constant(1, net) * trap_weights(N + 1, (x1[-1] - x1[0]) / N)
+        j2 = kernel_constant(2, net) * trap_weights(N + 1, (x2[-1] - x2[0]) / N)
+        k1v0, k2vN = -j1, -j2
+        k1w0 = j1 * scale_factor(-x1, ss1, seg1)
+        k2wN = j2 * scale_factor(-x2, ss2, seg2)
         denom = 1.0 - k2vN[N]
         trace_t, trace_b2 = [], []
     rec = _Recorder(net, x1, x2, ops, physical=False)
