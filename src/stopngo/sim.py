@@ -28,6 +28,7 @@ from .riemann import (
     scale_w,
     to_riemann,
 )
+from .stability import fit_envelope_rate
 
 RHO_FLOOR = 1e-6
 
@@ -228,9 +229,7 @@ def run_linear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     closed = ops is not None
 
     (rho1, vel1), (rho2, vel2) = initial_condition(cfg.ic, net, N)
-    wt1, vt1 = to_riemann(rho1, vel1, ss1, seg1)
-    wt2, vt2 = to_riemann(rho2, vel2, ss2, seg2)
-    S = np.concatenate((scale_w(x1, wt1, ss1, seg1), scale_w(x2, wt2, ss2, seg2), vt1, vt2))
+    S = np.empty(4 * M)
     last = 4 * M - 1  # v-tilde_2(0), the junction trace
     # the slices a step uses, taken once: the rows, the two ends of the
     # differences, the w-bar nodes a step writes and reads, and the v-tilde
@@ -240,14 +239,19 @@ def run_linear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     S_w1, S_w, S_v = S[1 : 2 * M], S[: 2 * M - 1], S[2 * M : last]
     D = np.empty(last)  # forward differences, then the products of a step
     Dw, Dv = D[: 2 * M - 1], D[2 * M :]
-    # entry i of a coefficient row serves node 1 + i of the w-bar block and
-    # node i of the v-tilde block: the transport speeds, then c_i(x)
-    speeds = np.repeat([[ss1.lambda_w, ss2.lambda_w], [ss1.lambda_v, ss2.lambda_v]],
-                       (M - 1, M), axis=1)
+    # the transport speeds in one row laid out as D: entry i serves node
+    # 1 + i of the w-bar block, entry 2M + i node i of the v-tilde block, and
+    # the entry between the blocks is 0. Entry i of c_i(x) serves node i of
+    # the v-tilde block
+    speeds = np.concatenate((np.repeat([ss1.lambda_w, ss2.lambda_w], (M - 1, M)), [0.0],
+                             np.repeat([ss1.lambda_v, ss2.lambda_v], (M - 1, M))))
     c = np.concatenate((coupling_coefficient(x1, ss1, seg1),
                         coupling_coefficient(x2, ss2, seg2)[:-1]))
     rows = boundary_rows(net)
+    g_outlet, g_inlet, g_jw, g_t, g_a = (rows.g_outlet, rows.g_inlet, rows.g_junction_w,
+                                         rows.g_t, rows.g_a)
     dt0 = cfg.cfl * h / max(ss1.lambda_w, ss1.lambda_v, ss2.lambda_w, ss2.lambda_v)
+    t_stop = cfg.t_final - 1e-9 * dt0
 
     if closed:
         # the junction rows j_i of the transform act on w-tilde and on minus
@@ -256,7 +260,8 @@ def run_linear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
         kw1, kw2 = ops.j * np.stack((scale_factor(-x1, ss1, seg1), scale_factor(-x2, ss2, seg2)))
         kv1, kv2 = -ops.j
         # the junction row contains v2[N] inside its own quadrature; solve for it
-        denom = 1.0 - kv2[N]
+        kv2N = kv2.item(N)
+        denom = 1.0 - kv2N
         trace_t, trace_b2 = [], []
 
     rec = _Recorder(net, x1, x2, ops, physical=False)
@@ -264,46 +269,50 @@ def run_linear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     def snapshot(t, u0):  # the recorder takes (w-bar, v-tilde) per segment
         rec.push(t, u0, S.reshape(2, 2, M).swapaxes(0, 1).copy())
 
-    snapshot(0.0, 0.0)
-    t, step, u0, dt_coef = 0.0, 0, 0.0, None
-    while t < cfg.t_final - 1e-9 * dt0:
-        dt = min(dt0, cfg.t_final - t)
-        if dt != dt_coef:  # the first step, and a shorter last one
-            (NW, NV), DTC, dt_coef = speeds * dt / h, dt * c, dt
-        # v-tilde: (S + NV D) + DTC w-bar on [2M:4M-1], then w-bar:
-        # S[1:2M] - NW D, the evaluation order of one row at a time
-        np.subtract(S_tail, S_head, out=D)
-        Dv *= NV
-        S_v += Dv
-        np.multiply(DTC, S_w, out=Dv)
-        S_v += Dv
-        Dw *= NW
-        S_w1 -= Dw
+    # a non-finite initial state makes NaNs from its Riemann map on, on its
+    # way to the finiteness check at the end of the first step, which names it
+    with np.errstate(invalid="ignore"):
+        wt1, vt1 = to_riemann(rho1, vel1, ss1, seg1)
+        wt2, vt2 = to_riemann(rho2, vel2, ss2, seg2)
+        w1[:], w2[:], v1[:], v2[:] = scale_w(x1, wt1, ss1, seg1), scale_w(x2, wt2, ss2, seg2), vt1, vt2
+        snapshot(0.0, 0.0)
+        t, step, u0, dt_coef = 0.0, 0, 0.0, None
+        while t < t_stop:
+            dt = min(dt0, cfg.t_final - t)
+            if dt != dt_coef:  # the first step, and a shorter last one
+                NC, DTC, dt_coef = speeds * dt / h, dt * c, dt
+            # v-tilde: (S + NV D) + DTC w-bar on [2M:4M-1], then w-bar:
+            # S[1:2M] - NW D, the evaluation order of one row at a time
+            np.subtract(S_tail, S_head, out=D)
+            D *= NC  # NW D on the w-bar block, NV D on the v-tilde block
+            S_v += Dv
+            np.multiply(DTC, S_w, out=Dv)
+            S_v += Dv
+            S_w1 -= Dw
 
-        S[3 * M - 1] = rows.g_outlet * S.item(M - 1)
-        S[M] = rows.g_inlet * S.item(3 * M)
-        S[0] = rows.g_junction_w * S.item(2 * M - 1)
-        rhs0 = rows.g_t * S.item(2 * M) + rows.g_a * S.item(2 * M - 1)
-        if closed:
-            # the quadrature sees the old v-tilde_2(0), whose term is taken out
-            v2_old = S.item(last)
-            i1 = float(kw1 @ w1 + kv1 @ v1)
-            i2p = float(kw2 @ w2 + kv2 @ v2) - kv2[N] * v2_old
-            S[last] = (rhs0 + i2p - rows.g_t * i1) / denom
-            i2 = i2p + kv2[N] * S[last]
-            u0 = (S[last] - rhs0) / rows.g_control
-        else:
-            S[last] = rhs0
-            u0 = 0.0
-        t += dt
-        step += 1
-        if not np.isfinite(S).all():
-            raise SimulationError(f"non-finite state at step {step}, t = {t:.3f} s")
-        if closed:
-            trace_t.append(t)
-            trace_b2.append(S[last] - i2)
-        if step % cfg.record_every == 0 or t >= cfg.t_final - 1e-9 * dt0:
-            snapshot(t, u0)
+            S[3 * M - 1] = g_outlet * S.item(M - 1)
+            S[M] = g_inlet * S.item(3 * M)
+            S[0] = g_jw * S.item(2 * M - 1)
+            rhs0 = g_t * S.item(2 * M) + g_a * S.item(2 * M - 1)
+            if closed:
+                # the quadrature sees the old v-tilde_2(0), whose term is taken out
+                v2_old = S.item(last)
+                i1 = float(kw1.dot(w1) + kv1.dot(v1))
+                i2p = float(kw2.dot(w2) + kv2.dot(v2)) - kv2N * v2_old
+                S[last] = vJ = (rhs0 + i2p - g_t * i1) / denom
+                i2 = i2p + kv2N * vJ
+                u0 = (vJ - rhs0) / rows.g_control
+            else:
+                S[last] = rhs0
+            t += dt
+            step += 1
+            if not np.isfinite(S).all():
+                raise SimulationError(f"non-finite state at step {step}, t = {t:.3f} s")
+            if closed:
+                trace_t.append(t)
+                trace_b2.append(vJ - i2)
+            if step % cfg.record_every == 0 or t >= t_stop:
+                snapshot(t, u0)
 
     extra = dict(trace_times=np.asarray(trace_t),
                  trace_beta2=np.asarray(trace_b2)) if closed else {}
@@ -372,8 +381,8 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     of an end interface see the same flux and the scheme stays conservative.
 
     Both segments step as one stacked state: U[0] is rho and U[1] is y, one
-    row per segment, and the segment parameters are (2, 1) columns or full
-    rows, so each stage of a step is one set of array calls for the whole
+    row per segment, and the segment parameters are full rows or (2, 2)
+    blocks, so each stage of a step is one set of array calls for the whole
     network. The stages write into work buffers allocated once per run. The
     flux stage runs on the four rows of U laid end to end, with the left
     boundary fluxes in a padded interface array, so the end and interior node
@@ -393,10 +402,11 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
 
     segs = (seg1, seg2)
     # full rows of the parameters, which numpy reads faster than it
-    # broadcasts a column; the end block's pressure takes (2, 1) columns. On
-    # these shapes numpy's power is its general one at every exponent (see
-    # pressure_law), so the two give the same bits
-    coeff, gamma = stacked(net, 1, "pressure_coeff", "gamma")
+    # broadcasts a column: rows of M for the state and (2, 2) blocks for the
+    # end densities. On both shapes numpy's power is its general one at
+    # every exponent (see pressure_law), so the state and its end block take
+    # the same power
+    coeff, gamma = stacked(net, 2, "pressure_coeff", "gamma")
     coeff_n, gamma_n, rho_max, tau = stacked(net, M, "pressure_coeff", "gamma", "rho_max", "tau")
     v_max = seg1.v_max  # NetworkParams requires both segments to share it
 
@@ -412,7 +422,7 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     def congested(R, V, rmin, t):
         # a NaN fails both comparisons and is looked at row by row, which
         # raises exactly where (R <= RHO_FLOOR).any() or (V <= 0).any() would
-        if not (rmin > RHO_FLOOR and V.min() > 0.0):
+        if not (rmin > RHO_FLOOR and np.minimum.reduce(V, None) > 0.0):
             for label, rho, v in zip(("segment 1", "segment 2"), R, V):
                 if (rho <= RHO_FLOOR).any() or (v <= 0.0).any():
                     raise SimulationError(
@@ -421,30 +431,36 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
                     )
 
     def boundary(v1J, w1_out, v_in, w2J, u0):
-        # the algebra's fluxes of rho and of y at the four end pairs
+        # the algebra's fluxes of rho, then of y, at the four end pairs
         (q1J, w1J), (q_out, w_out), (q_in, w_in), (q2J, w2J) = fluxes(
             v1J, w1_out, v_in, w2J, u0, step)
-        return (q1J, q_out, q_in, q2J), (q1J * w1J, q_out * w_out, q_in * w_in, q2J * w2J)
+        return q1J, q_out, q_in, q2J, q1J * w1J, q_out * w_out, q_in * w_in, q2J * w2J
 
-    # Work buffers, overwritten every step. The flux stage runs on flat
-    # views of U's four rows (rho then y, segment 1 then 2) laid end to end,
-    # because numpy makes one contiguous pass much faster than four row
-    # slices. Row r, node j sits at r M + j. In the padded interface array
-    # Fp, the flux between nodes j and j + 1 of row r sits at r M + 1 + j
-    # and the left boundary flux of row r at r M, over the junk that the
-    # flat pass leaves between two rows. The right boundary fluxes have no
-    # slot; they are written into the differences at r M + N directly.
-    # U, F, the wave speeds A2 and Fp share one buffer, so that one read
-    # gathers every value the end half-cells take from them.
-    work = np.empty(16 * M)
-    U, F, A2 = (work[i * 4 * M : (i + 1) * 4 * M].reshape(2, 2, M) for i in range(3))
-    Fp = work[12 * M :]
-    Uf, Ff, A2f = U.reshape(-1), F.reshape(-1), A2.reshape(-1)
-    A = A2[0]  # the wave speeds, copied to A2[1] for the y rows
-    flux = Fp[1:]
-    am, dU = np.empty(4 * M - 1), np.empty(4 * M - 1)
+    # Work buffers, overwritten every step, and the views a step reads,
+    # taken once. The flux stage runs on flat views of U's four rows (rho
+    # then y, segment 1 then 2) laid end to end, because numpy makes one
+    # contiguous pass much faster than four row slices or a broadcast. Row
+    # r, node j sits at r M + j. In the padded interface array Fp, the flux
+    # between nodes j and j + 1 of row r sits at r M + 1 + j and the left
+    # boundary flux of row r at r M, over the junk that the flat pass leaves
+    # between two rows. The right boundary fluxes have no slot; they are
+    # written into the differences at r M + N directly. U, F, the wave
+    # speeds A and Fp share one buffer, so that one read gathers every value
+    # the end half-cells take from them. The rho and y rows share the wave
+    # speeds, so the larger speed am of two neighbours is taken once over
+    # A's 2M entries and scales the rho and the y halves of the differences
+    work = np.empty(14 * M)
+    U, F = (work[i * 4 * M : (i + 1) * 4 * M].reshape(2, 2, M) for i in range(2))
+    A, Fp = work[8 * M : 10 * M].reshape(2, M), work[10 * M :]
+    Uf, Ff, Af = U.reshape(-1), F.reshape(-1), A.reshape(-1)
+    Rf, Yf, F_rho, F_y, F0 = Uf[: 2 * M], Uf[2 * M :], Ff[: 2 * M], Ff[2 * M :], F[0]
+    flux, Fp_head, U_tail, U_head, F_tail, F_head = Fp[1:], Fp[:-1], Uf[1:], Uf[:-1], Ff[1:], Ff[:-1]
+    A_tail, A_head, right = Af[1:], Af[:-1], slice(N, None, M)
+    am, dU = np.empty(2 * M - 1), np.empty(4 * M - 1)
+    dU_rho, dU_y = dU[: 2 * M - 1], dU[2 * M :]
     width = np.tile(wc, 4)
     rel = np.empty((2, M))
+    over, finite = np.empty((2, M), dtype=bool), np.empty(4 * M, dtype=bool)
 
     # The end half-cells, as four (segment, end) pairs: segment 1 at the
     # junction and the outlet, segment 2 at the inlet and the junction. A
@@ -452,38 +468,41 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     # right), its y node 2M further on; its neighbour is one node inwards,
     # and its end-interface flux slot in Fp sits on the inner side. side is
     # s = +1 at a left end and -1 at a right end. One read of `work` gathers,
-    # at t^n after the flat flux pass, nine rows of the four pairs: the end
-    # rho and y, their interface fluxes, the neighbours' rho and y and their
-    # fluxes, and the neighbours' wave speeds
+    # at t^n after the flat flux pass, five lists of eight entries, the four
+    # pairs' rho and then their y: the end values, their interface fluxes,
+    # the neighbours' values and their fluxes, and the neighbours' wave
+    # speeds, which rho and y share
     pairs = [(i, e) for i in (0, 1) for e in (0, 1)]
     nodes = [i * M + e * N for i, e in pairs]
     inner = [n + 1 - 2 * e for n, (_, e) in zip(nodes, pairs)]
     slots = [n + 1 - e for n, (_, e) in zip(nodes, pairs)]
-    gather = np.array([[base + q * 2 * M + n for n in idx]
-                       for base, idx in ((0, nodes), (12 * M, slots), (0, inner), (4 * M, inner))
-                       for q in (0, 1)] + [[8 * M + n for n in inner]])
+    gather = np.array([[base + q * 2 * M + n for q in (0, 1) for n in idx]
+                       for base, idx in ((0, nodes), (10 * M, slots), (0, inner), (4 * M, inner))]
+                      + [[8 * M + n for n in inner] * 2])
     # the mean fluxes go to the end-interface slots and the left boundary slots
     scatter = np.array([q * 2 * M + n for q in (0, 1) for n in slots] + [r * M for r in range(4)])
-    sides, gammas = [1.0 - 2.0 * e for _, e in pairs], [segs[i].gamma for i, _ in pairs]
+    sides, gammas = [1.0 - 2.0 * e for _, e in pairs] * 2, [segs[i].gamma for i, _ in pairs]
     rho_max1, rho_max2 = seg1.rho_max, seg2.rho_max
-    Rh = np.empty((2, 2))  # the half-step end densities, [segment, end]
-    Rh_flat = Rh.reshape(-1)
+    Uh = np.empty((2, 2, 2))  # the half-step end states, [rho or y, segment, end]
+    Uh_flat, Rh = Uh.reshape(-1), Uh[0]
 
     (rho1, v1), (rho2, v2) = initial_condition(cfg.ic, net, N)
     R, Y = U  # views: R[i] and Y[i] belong to segment i + 1
+    R0, R1 = R
     R[:] = rho1, rho2
     V = np.stack((v1, v2))
+    Vf = V.reshape(-1)
     # one range-checked pressure per step, on the current density; it serves
     # the wave speeds, the boundary invariants w and the velocity update. The
-    # relaxation leaves rho alone, so one R.min() per step serves the range
-    # check and the next step's regime check
-    rmin = R.min()
+    # relaxation leaves rho alone, so one minimum of R per step serves the
+    # range check and the next step's regime check
+    rmin = np.minimum.reduce(Rf, None)
     P = stacked_pressure(R, rmin >= 0.0 and not (R > rho_max).any(), coeff_n, gamma_n)
     Y[:] = R * (V + P)
 
     fluxes = boundary_algebra(net)
     rec = _Recorder(net, x1, x2, ops, physical=True)
-    mass = float(wc @ R[0] + wc @ R[1])
+    mass = float(wc.dot(R0) + wc.dot(R1))
     mass_err = 0.0
 
     def record(t, u0):
@@ -492,110 +511,118 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     record(0.0, 0.0)
 
     t, step, u0 = 0.0, 0, 0.0
-    while True:
-        congested(R, V, rmin, t)
-        # A = max(|V - gamma P|, V); |V| is V, since V > 0 was checked above
-        np.multiply(gamma_n, P, out=A)
-        np.subtract(V, A, out=A)
-        np.abs(A, out=A)
-        np.maximum(A, V, out=A)
-        amax = float(A.max())
-        if t >= cfg.t_final - 1e-12 * cfg.t_final:
-            break
-        dt = min(cfg.cfl * h / amax, cfg.t_final - t)
+    t_end, cfl_h, every = cfg.t_final - 1e-12 * cfg.t_final, cfg.cfl * h, cfg.record_every
+    # a non-finite state makes NaNs on its way to the finiteness check at
+    # the end of the step, which names it
+    with np.errstate(invalid="ignore"):
+        while True:
+            congested(R, V, rmin, t)
+            # A = max(|V - gamma P|, V); |V| is V, since V > 0 was checked above
+            np.multiply(gamma_n, P, out=A)
+            np.subtract(Vf, Af, out=Af)
+            np.abs(Af, out=Af)
+            np.maximum(Af, Vf, out=Af)
+            amax = float(np.maximum.reduce(Af, None))
+            if t >= t_end:
+                break
+            dt = min(cfl_h / amax, cfg.t_final - t)
 
-        np.multiply(U, V, out=F)  # (rho v, y v); the law reads F[0] and V
-        u0 = control_input(ops, F[0], V) if closed else 0.0
-        # the outgoing invariants at flat indices i M + j, w from this step's P
-        br, by = boundary(V.item(0), V.item(N) + P.item(N), V.item(M),
-                          V.item(M + N) + P.item(M + N), u0)
+            np.multiply(Rf, Vf, out=F_rho)  # rho v and y v; the law reads F[0] and V
+            np.multiply(Yf, Vf, out=F_y)
+            u0 = control_input(ops, F0, V) if closed else 0.0
+            # the outgoing invariants at flat indices i M + j, w from this step's P
+            bn = boundary(Vf.item(0), Vf.item(N) + P.item(N), Vf.item(M),
+                          Vf.item(M + N) + P.item(M + N), u0)
 
-        # Lax-Friedrichs: 0.5 (F_j + F_j+1) - 0.5 am (U_j+1 - U_j), with am
-        # the larger wave speed of the two nodes; A is halved first, which
-        # halves am exactly
-        np.add(Ff[:-1], Ff[1:], out=flux)
-        flux *= 0.5
-        A *= 0.5
-        np.copyto(A2[1], A)
-        np.maximum(A2f[:-1], A2f[1:], out=am)
-        np.subtract(Uf[1:], Uf[:-1], out=dU)
-        dU *= am
-        flux -= dU
+            # Lax-Friedrichs: 0.5 (F_j + F_j+1) - 0.5 am (U_j+1 - U_j), with am
+            # the larger wave speed of the two nodes; A is halved first, which
+            # halves am exactly
+            np.add(F_head, F_tail, out=flux)
+            flux *= 0.5
+            Af *= 0.5
+            np.maximum(A_head, A_tail, out=am)
+            np.subtract(U_tail, U_head, out=dU)
+            dU_rho *= am
+            dU_y *= am
+            flux -= dU
 
-        # The end half-cells, in floats, one list entry per pair. The first
-        # half step is U_e - (dt/h) s (F_if - F_bnd), and its pressure is the
-        # stacked law on the (2, 2) block of end densities. A NaN fails every
-        # check here and goes on to the finiteness check
-        re, ye, rf, yf, rn, yn, rfn, yfn, an = work[gather].tolist()
-        k = dt / h
-        rh = [c - (f - b) * s * k for c, f, b, s in zip(re, rf, br, sides)]
-        yh = [c - (f - b) * s * k for c, f, b, s in zip(ye, yf, by, sides)]
-        Rh_flat[:] = rh
-        rj1, rout, rin, rj2 = rh
-        Ph = stacked_pressure(Rh, 0.0 <= rj1 <= rho_max1 and 0.0 <= rout <= rho_max1
-                              and 0.0 <= rin <= rho_max2 and 0.0 <= rj2 <= rho_max2, coeff, gamma)
-        if not (rj1 > RHO_FLOOR and rout > RHO_FLOOR and rin > RHO_FLOOR and rj2 > RHO_FLOOR):
-            # the regime check before a float division by a zero density; v
-            # is numpy's quotient, as for the whole state
-            congested(Rh, np.reshape(yh, (2, 2)) / Rh - Ph, Rh.min(), t + 0.5 * dt)
-        pa, pb = Ph.tolist()
-        ph = pa + pb
-        vh, half_am = [], []
-        for r, y, p, gam, a_n in zip(rh, yh, ph, gammas, an):
-            v = y / r - p
-            a = abs(v - gam * p)
-            a = (a if a > v else v) * 0.5  # max(|v - gamma p|, v), as for the whole state
-            vh.append(v)
-            half_am.append(a if a > a_n else a_n)  # a_n, from A, is halved already
-        vj1, vout, vin, vj2 = vh
-        if not (vj1 > 0.0 and vout > 0.0 and vin > 0.0 and vj2 > 0.0):
-            congested(Rh, np.reshape(vh, (2, 2)), Rh.min(), t + 0.5 * dt)
-        # The second half step reads the algebra on the half-step invariants
-        # and the Lax-Friedrichs flux between each half-step end state and
-        # its neighbour at t^n, 0.5 (c v + f_n) - 0.5 am s (c_n - c). Every
-        # end interface and boundary carries the mean of the two stages'
-        # fluxes over the step
-        br_b, by_b = boundary(vj1, vout + ph[1], vin, vj2 + ph[3], u0)
-        mr = [(fa + ((c * v + fn) * 0.5 - (cn - c) * s * a)) * 0.5
-              for c, fa, cn, fn, s, v, a in zip(rh, rf, rn, rfn, sides, vh, half_am)]
-        my = [(fa + ((c * v + fn) * 0.5 - (cn - c) * s * a)) * 0.5
-              for c, fa, cn, fn, s, v, a in zip(yh, yf, yn, yfn, sides, vh, half_am)]
-        br = [(a + b) * 0.5 for a, b in zip(br, br_b)]
-        by = [(a + b) * 0.5 for a, b in zip(by, by_b)]
+            # The end half-cells, in floats, eight entries per list: the four
+            # pairs' rho, then their y. The first half step is
+            # U_e - (dt/h) s (F_if - F_bnd), and its pressure is the stacked
+            # law on the (2, 2) block of end densities. A NaN fails every
+            # check here and goes on to the finiteness check
+            ce, fe, cn, fn, an = work[gather].tolist()
+            k = dt / h
+            ch = [c - (f - b) * s * k for c, f, b, s in zip(ce, fe, bn, sides)]
+            Uh_flat[:] = ch
+            rj1, rout, rin, rj2 = ch[:4]
+            Ph = stacked_pressure(Rh, 0.0 <= rj1 <= rho_max1 and 0.0 <= rout <= rho_max1
+                                  and 0.0 <= rin <= rho_max2 and 0.0 <= rj2 <= rho_max2,
+                                  coeff, gamma)
+            if not (rj1 > RHO_FLOOR and rout > RHO_FLOOR and rin > RHO_FLOOR and rj2 > RHO_FLOOR):
+                # the regime check before a float division by a zero density;
+                # v is numpy's quotient, as for the whole state
+                congested(Rh, Uh[1] / Rh - Ph, Rh.min(), t + 0.5 * dt)
+            pa, pb = Ph.tolist()
+            ph = pa + pb
+            # per pair, the half-step velocity and the larger wave speed at the
+            # end interface, then the mean of the two stages' interface fluxes,
+            # the second being the Lax-Friedrichs flux between the half-step
+            # end state and its neighbour at t^n, 0.5 (c v + f_n) - 0.5 am s (c_n - c)
+            vh, mr, my = [], [], []
+            for r, y, p, gam, a_n, fr, fy, rn, yn, frn, fyn, s in zip(
+                    ch, ch[4:], ph, gammas, an, fe, fe[4:], cn, cn[4:], fn, fn[4:], sides):
+                v = y / r - p
+                a = abs(v - gam * p)
+                a = (a if a > v else v) * 0.5  # max(|v - gamma p|, v), as for the whole state
+                a = a if a > a_n else a_n  # a_n, from A, is halved already
+                vh.append(v)
+                mr.append((fr + ((r * v + frn) * 0.5 - (rn - r) * s * a)) * 0.5)
+                my.append((fy + ((y * v + fyn) * 0.5 - (yn - y) * s * a)) * 0.5)
+            vj1, vout, vin, vj2 = vh
+            if not (vj1 > 0.0 and vout > 0.0 and vin > 0.0 and vj2 > 0.0):
+                congested(Rh, np.reshape(vh, (2, 2)), Rh.min(), t + 0.5 * dt)
+            # the boundaries carry the mean of the algebra's fluxes at t^n
+            # and on the half-step invariants
+            bh = boundary(vj1, vout + ph[1], vin, vj2 + ph[3], u0)
 
-        # U -= dt (flux out - flux in) / width at every node, the ends included
-        Fp[scatter] = mr + my + [br[0], br[2], by[0], by[2]]
-        np.subtract(Fp[1:], Fp[:-1], out=Ff[:-1])
-        Ff[N::M] = br[1] - mr[1], br[3] - mr[3], by[1] - my[1], by[3] - my[3]
-        Ff *= dt
-        Ff /= width
-        Uf -= Ff
+            # U -= dt (flux out - flux in) / width at every node, the ends included
+            Fp[scatter] = mr + my + [(bn[0] + bh[0]) * 0.5, (bn[2] + bh[2]) * 0.5,
+                                     (bn[4] + bh[4]) * 0.5, (bn[6] + bh[6]) * 0.5]
+            np.subtract(flux, Fp_head, out=F_head)
+            Ff[right] = ((bn[1] + bh[1]) * 0.5 - mr[1], (bn[3] + bh[3]) * 0.5 - mr[3],
+                         (bn[5] + bh[5]) * 0.5 - my[1], (bn[7] + bh[7]) * 0.5 - my[3])
+            Ff *= dt
+            Ff /= width
+            Uf -= Ff
 
-        # relaxation on the post-flux state. Its source -R (v - V(R))/tau is
-        # -(Y - R v_max)/tau, as V = v_max - p: the pressure cancels. y
-        # carries the whole source and rho is left alone, so P, evaluated on
-        # the post-flux density, stays valid for V and the next wave speeds
-        rmin = R.min()
-        P = stacked_pressure(R, rmin >= 0.0 and not (R > rho_max).any(), coeff_n, gamma_n)
-        np.multiply(R, v_max, out=rel)
-        np.subtract(Y, rel, out=rel)
-        rel /= tau
-        rel *= dt
-        Y -= rel
+            # relaxation on the post-flux state. Its source -R (v - V(R))/tau
+            # is -(Y - R v_max)/tau, as V = v_max - p: the pressure cancels. y
+            # carries the whole source and rho is left alone, so P, evaluated
+            # on the post-flux density, stays valid for V and the next wave
+            # speeds
+            rmin = np.minimum.reduce(Rf, None)
+            P = stacked_pressure(R, rmin >= 0.0 and not np.logical_or.reduce(
+                np.greater(R, rho_max, out=over), None), coeff_n, gamma_n)
+            np.multiply(R, v_max, out=rel)
+            np.subtract(Y, rel, out=rel)
+            rel /= tau
+            rel *= dt
+            Y -= rel
 
-        np.divide(Y, R, out=V)
-        V -= P
-        t += dt
-        step += 1
-        if not np.isfinite(U).all():
-            raise SimulationError(f"non-finite state at step {step}, t = {t:.3f} s")
+            np.divide(Y, R, out=V)
+            V -= P
+            t += dt
+            step += 1
+            if not np.logical_and.reduce(np.isfinite(Uf, out=finite), None):
+                raise SimulationError(f"non-finite state at step {step}, t = {t:.3f} s")
 
-        # two 1-D dot products, not R @ wc, to keep the summation order
-        new_mass = float(wc @ R[0] + wc @ R[1])
-        mass_err = max(mass_err, abs((new_mass - mass) - dt * u0) / new_mass)
-        mass = new_mass
-        if step % cfg.record_every == 0 or t >= cfg.t_final - 1e-12 * cfg.t_final:
-            record(t, u0)
+            # two 1-D dot products, not R @ wc, to keep the summation order
+            new_mass = float(wc.dot(R0) + wc.dot(R1))
+            mass_err = max(mass_err, abs((new_mass - mass) - dt * u0) / new_mass)
+            mass = new_mass
+            if step % every == 0 or t >= t_end:
+                record(t, u0)
 
     return rec.finish(ss1.kappa + ss2.kappa, step, mass_err=mass_err)
 
@@ -607,8 +634,6 @@ def norms_and_rate(record) -> NormHistory:
     A trajectory already at round-off level is reported as converged with no
     fit attempted.
     """
-    from .stability import fit_envelope_rate
-
     times = np.asarray(record.times, dtype=float)
     if times.size < 10:
         raise DomainError(f"need at least 10 recorded times, got {times.size}")

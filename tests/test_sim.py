@@ -946,6 +946,88 @@ def test_flat_linear_stepper_matches_row_reference(
             assert np.array_equal(getattr(a, key), value), key
 
 
+@pytest.mark.parametrize("loop", ["open", "closed"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(u=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9), eps=st.floats(0.0, 0.001),
+       k1=st.integers(1, 3), k2=st.integers(1, 3), phase1=st.floats(0.0, 2.0 * np.pi),
+       phase2=st.floats(0.0, 2.0 * np.pi))
+# the inlet ghost density reaches rho_max at step 3 of the closed loop
+@example(u=[0.0] * 5 + [1.0] + [0.0] * 3, eps=0.00095, k1=1, k2=1, phase1=0.0, phase2=0.0)
+def test_steppers_match_their_references_on_admissible_networks(loop, u, eps, k1, k2,
+                                                                 phase1, phase2):
+    # over criterion 2's ranges, with gamma != 1 on both segments, both
+    # steppers give the bits of their one-segment-at-a-time references, or
+    # both sides raise the same error with the same message. The nonlinear
+    # reference's boundary algebra names step 0; the step it failed in is
+    # counted from its algebra calls, two per step
+    net = _criterion_2_network(u)
+    assume(net is not None and net.seg1.gamma != 1.0 and net.seg2.gamma != 1.0)
+    ic = sg.ICSpec(eps=eps, k1=k1, k2=k2, phase1=phase1, phase2=phase2)
+    # a few dozen steps: dt is at most 0.9 h / v_max in both steppers
+    t_final = 30.0 * net.seg1.length / 32 / net.seg1.v_max
+    cfg = sg.SimConfig(t_final=t_final, N=32, loop_mode=loop, model="nonlinear", ic=ic,
+                       record_every=1)
+    calls = []
+    rec, ref = _outcome(run_nonlinear, cfg, net), _outcome(_per_segment_reference, cfg, net, calls)
+    if isinstance(rec, sg.SimRecord):
+        want, mass_err = ref
+        assert rec.n_steps > 10
+        for got, value in zip((rec.times, rec.u0, rec.rho1, rec.v1, rec.rho2, rec.v2), want,
+                              strict=True):
+            assert got.shape == value.shape and np.array_equal(got, value)
+        assert rec.mass_err == mass_err
+    else:
+        kind, message = ref
+        assert rec == (kind, message.replace("at step 0", f"at step {(len(calls) - 1) // 2}"))
+
+    cfg = dataclasses.replace(cfg, model="linear")
+    got, want = _outcome(run_linear, cfg, net), _outcome(_reference_run_linear, cfg, net)
+    if isinstance(want, sg.SimRecord):
+        assert got.n_steps == want.n_steps > 10
+        for key, value in vars(want).items():
+            if isinstance(value, np.ndarray):
+                other = getattr(got, key)
+                assert other.dtype == value.dtype and np.array_equal(other, value), key
+            elif key != "target":
+                assert getattr(got, key) == value, key
+        for a, b in zip(got.target or (), want.target or (), strict=True):
+            for key, value in vars(b).items():
+                assert np.array_equal(getattr(a, key), value), key
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("model", ["nonlinear", "linear"])
+@pytest.mark.parametrize("loop", ["open", "closed"])
+@pytest.mark.parametrize("field, value", [("rho", np.nan), ("v", np.nan), ("v", np.inf),
+                                          ("rho", np.inf), ("v", -np.inf)])
+def test_non_finite_state_ends_in_the_named_error(net, window, monkeypatch, model, loop,
+                                                  field, value):
+    # the suite turns warnings into errors, so a NaN that a non-finite node
+    # makes on its way to the checks must not end the run with a bare
+    # RuntimeWarning; each case keeps its error type, message and step
+    def poisoned(ic, net, N):
+        (rho1, v1), p2 = initial_condition(ic, net, N)
+        (rho1 if field == "rho" else v1)[N // 2] = value
+        return (rho1, v1), p2
+
+    monkeypatch.setattr(sg.sim, "initial_condition", poisoned)
+    cfg = sg.SimConfig(t_final=window, N=64, loop_mode=loop, model=model,
+                       ic=sg.ICSpec(eps=0.02), record_every=8)
+    error, message = SimulationError, "non-finite state at step 1, t = 1.083 s"
+    if model == "nonlinear":
+        # a NaN spreads to the step length, an infinite speed makes it zero
+        message = f"non-finite state at step 1, t = {'nan' if np.isnan(value) else '0.000'} s"
+        if field == "rho" and value > 0.0:  # the range check of the initial pressure
+            error, message = DomainError, "density outside [0, 0.6667]"
+        elif value < 0.0:
+            message = ("state left the congested regime in segment 1 at step 0, t = 0.000 s "
+                       "(min rho = 4.728e-01, min v = -inf)")
+    with pytest.raises(error) as exc:
+        (run_nonlinear if model == "nonlinear" else run_linear)(cfg, net)
+    assert str(exc.value) == message
+
+
 def _reference_boundary_fluxes(v1J, w1_out, v_in, w2J, u0, net, step=0):
     """The boundary algebra on the four outgoing invariants through the
     range-checked pressure() and inverse_pressure(), reading the segment
