@@ -265,6 +265,7 @@ def run_linear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
         trace_t, trace_b2 = [], []
 
     rec = _Recorder(net, x1, x2, ops, physical=False)
+    zeros = np.zeros(4 * M)  # S.dot(zeros) is finite exactly when S is, as in run_nonlinear
 
     def snapshot(t, u0):  # the recorder takes (w-bar, v-tilde) per segment
         rec.push(t, u0, S.reshape(2, 2, M).swapaxes(0, 1).copy())
@@ -306,7 +307,7 @@ def run_linear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
                 S[last] = rhs0
             t += dt
             step += 1
-            if not np.isfinite(S).all():
+            if not math.isfinite(S.dot(zeros)):
                 raise SimulationError(f"non-finite state at step {step}, t = {t:.3f} s")
             if closed:
                 trace_t.append(t)
@@ -421,8 +422,10 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
 
     def congested(R, V, rmin, t):
         # a NaN fails both comparisons and is looked at row by row, which
-        # raises exactly where (R <= RHO_FLOOR).any() or (V <= 0).any() would
-        if not (rmin > RHO_FLOOR and np.minimum.reduce(V, None) > 0.0):
+        # raises exactly where (R <= RHO_FLOOR).any() or (V <= 0).any() would.
+        # argmin, like argmax, returns the first NaN, so V.item(V.argmin()) is
+        # the minimum or a NaN exactly where the minimum is one
+        if not (rmin > RHO_FLOOR and V.item(V.argmin()) > 0.0):
             for label, rho, v in zip(("segment 1", "segment 2"), R, V):
                 if (rho <= RHO_FLOOR).any() or (v <= 0.0).any():
                     raise SimulationError(
@@ -460,7 +463,7 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     dU_rho, dU_y = dU[: 2 * M - 1], dU[2 * M :]
     width = np.tile(wc, 4)
     rel = np.empty((2, M))
-    over, finite = np.empty((2, M), dtype=bool), np.empty(4 * M, dtype=bool)
+    over = np.empty((2, M), dtype=bool)
 
     # The end half-cells, as four (segment, end) pairs: segment 1 at the
     # junction and the outlet, segment 2 at the inlet and the junction. A
@@ -496,7 +499,7 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     # the wave speeds, the boundary invariants w and the velocity update. The
     # relaxation leaves rho alone, so one minimum of R per step serves the
     # range check and the next step's regime check
-    rmin = np.minimum.reduce(Rf, None)
+    rmin = Rf.item(Rf.argmin())
     P = stacked_pressure(R, rmin >= 0.0 and not (R > rho_max).any(), coeff_n, gamma_n)
     Y[:] = R * (V + P)
 
@@ -513,16 +516,19 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
     t, step, u0 = 0.0, 0, 0.0
     t_end, cfl_h, every = cfg.t_final - 1e-12 * cfg.t_final, cfg.cfl * h, cfg.record_every
     # a non-finite state makes NaNs on its way to the finiteness check at
-    # the end of the step, which names it
+    # the end of the step, which names it. That check is U's dot with zeros:
+    # 0 inf and NaN are NaN, so the dot is finite exactly when U is
+    zeros = np.zeros(4 * M)
     with np.errstate(invalid="ignore"):
         while True:
             congested(R, V, rmin, t)
-            # A = max(|V - gamma P|, V); |V| is V, since V > 0 was checked above
+            # A = max(|V - gamma P|, V) = max(gamma P - V, V), since V > 0 was
+            # checked above and gamma P >= 0: where V - gamma P is positive it
+            # is below V, and fl(gamma P - V) is -fl(V - gamma P) everywhere
             np.multiply(gamma_n, P, out=A)
-            np.subtract(Vf, Af, out=Af)
-            np.abs(Af, out=Af)
+            np.subtract(Af, Vf, out=Af)
             np.maximum(Af, Vf, out=Af)
-            amax = float(np.maximum.reduce(Af, None))
+            amax = Af.item(Af.argmax())
             if t >= t_end:
                 break
             dt = min(cfl_h / amax, cfg.t_final - t)
@@ -534,17 +540,16 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
             bn = boundary(Vf.item(0), Vf.item(N) + P.item(N), Vf.item(M),
                           Vf.item(M + N) + P.item(M + N), u0)
 
-            # Lax-Friedrichs: 0.5 (F_j + F_j+1) - 0.5 am (U_j+1 - U_j), with am
-            # the larger wave speed of the two nodes; A is halved first, which
-            # halves am exactly
+            # Lax-Friedrichs: 0.5 (F_j + F_j+1 - am (U_j+1 - U_j)), with am
+            # the larger wave speed of the two nodes. Scaling by 0.5 is exact,
+            # so halving the difference once gives the bits of halving each term
             np.add(F_head, F_tail, out=flux)
-            flux *= 0.5
-            Af *= 0.5
             np.maximum(A_head, A_tail, out=am)
             np.subtract(U_tail, U_head, out=dU)
             dU_rho *= am
             dU_y *= am
             flux -= dU
+            flux *= 0.5
 
             # The end half-cells, in floats, eight entries per list: the four
             # pairs' rho, then their y. The first half step is
@@ -568,17 +573,18 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
             # per pair, the half-step velocity and the larger wave speed at the
             # end interface, then the mean of the two stages' interface fluxes,
             # the second being the Lax-Friedrichs flux between the half-step
-            # end state and its neighbour at t^n, 0.5 (c v + f_n) - 0.5 am s (c_n - c)
+            # end state and its neighbour at t^n, 0.5 (c v + f_n - am s (c_n - c)),
+            # halved once as in the flat pass
             vh, mr, my = [], [], []
             for r, y, p, gam, a_n, fr, fy, rn, yn, frn, fyn, s in zip(
                     ch, ch[4:], ph, gammas, an, fe, fe[4:], cn, cn[4:], fn, fn[4:], sides):
                 v = y / r - p
                 a = abs(v - gam * p)
-                a = (a if a > v else v) * 0.5  # max(|v - gamma p|, v), as for the whole state
-                a = a if a > a_n else a_n  # a_n, from A, is halved already
+                a = a if a > v else v  # max(|v - gamma p|, v), as for the whole state
+                a = a if a > a_n else a_n
                 vh.append(v)
-                mr.append((fr + ((r * v + frn) * 0.5 - (rn - r) * s * a)) * 0.5)
-                my.append((fy + ((y * v + fyn) * 0.5 - (yn - y) * s * a)) * 0.5)
+                mr.append((fr + (r * v + frn - (rn - r) * s * a) * 0.5) * 0.5)
+                my.append((fy + (y * v + fyn - (yn - y) * s * a) * 0.5) * 0.5)
             vj1, vout, vin, vj2 = vh
             if not (vj1 > 0.0 and vout > 0.0 and vin > 0.0 and vj2 > 0.0):
                 congested(Rh, np.reshape(vh, (2, 2)), Rh.min(), t + 0.5 * dt)
@@ -601,9 +607,9 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
             # carries the whole source and rho is left alone, so P, evaluated
             # on the post-flux density, stays valid for V and the next wave
             # speeds
-            rmin = np.minimum.reduce(Rf, None)
-            P = stacked_pressure(R, rmin >= 0.0 and not np.logical_or.reduce(
-                np.greater(R, rho_max, out=over), None), coeff_n, gamma_n)
+            rmin = Rf.item(Rf.argmin())
+            P = stacked_pressure(R, rmin >= 0.0 and not np.count_nonzero(
+                np.greater(R, rho_max, out=over)), coeff_n, gamma_n)
             np.multiply(R, v_max, out=rel)
             np.subtract(Y, rel, out=rel)
             rel /= tau
@@ -614,7 +620,7 @@ def run_nonlinear(cfg: SimConfig, net: NetworkParams, tables=None) -> SimRecord:
             V -= P
             t += dt
             step += 1
-            if not np.logical_and.reduce(np.isfinite(Uf, out=finite), None):
+            if not math.isfinite(Uf.dot(zeros)):
                 raise SimulationError(f"non-finite state at step {step}, t = {t:.3f} s")
 
             # two 1-D dot products, not R @ wc, to keep the summation order
