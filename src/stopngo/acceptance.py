@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import default_network
 from .errors import AssumptionError, InfeasibleError
-from .kernels import _central, _interior, kernel_residual, solve_kernels
+from .kernels import kernel_residual, solve_kernels, transport_residual
 from .model import (
     SegmentParams,
     admissible_flux_interval,
@@ -132,10 +132,8 @@ def _scaled_pde_residual(table, net) -> float:
     the same in both coordinates and kernel_residual covers it."""
     ss, params = (net.ss1, net.seg1) if table.segment_id == 1 else (net.ss2, net.seg2)
     Kvw = table.Kvw * scale_factor(-table.x, ss, params)
-    j, k = _interior(table.segment_id, table.M)
-    dKdx, dKdxi = _central(Kvw, j, k, table.h)
-    c = coupling_coefficient(table.x[k], ss, params)
-    return float(np.max(np.abs(ss.lambda_v * dKdx - ss.lambda_w * dKdxi - c * table.Kvv[j, k])))
+    c = coupling_coefficient(table.x[1:-1], ss, params)  # at xi, along the columns
+    return transport_residual(table, Kvw, ss.lambda_v, ss.lambda_w, -c * table.Kvv[1:-1, 1:-1])
 
 
 def criterion_3(ctx):

@@ -30,20 +30,22 @@ class KernelTable:
     D: float  # the kernels' constant: K^vw = D and K^vv = -D on the triangle
     iterations: int  # passes over the table: 1, the closed form
 
+    @cached_property
+    def triangle(self) -> np.ndarray:
+        """The closed triangle, xi >= x on segment 1 and xi <= x on segment 2,
+        as a mask over the (M+1)^2 nodes: row j is x_j, column k is xi_k."""
+        j, k = np.ogrid[: self.M + 1, : self.M + 1]
+        return k >= j if self.segment_id == 1 else k <= j
+
     # the dense (M+1, M+1) tables, zero outside the triangle, are built on
     # first read: the feedback law and the transform read D alone
     @cached_property
     def Kvw(self) -> np.ndarray:
-        return self._triangle(self.D)
+        return np.where(self.triangle, self.D, 0.0)
 
     @cached_property
     def Kvv(self) -> np.ndarray:
-        return self._triangle(-self.D)
-
-    def _triangle(self, value: float) -> np.ndarray:
-        # the triangle is xi >= x on segment 1 and xi <= x on segment 2
-        triangle = np.triu if self.segment_id == 1 else np.tril
-        return triangle(np.full((self.M + 1, self.M + 1), value))
+        return np.where(self.triangle, -self.D, 0.0)
 
 
 def _segment(segment_id: int, net: NetworkParams):
@@ -78,15 +80,23 @@ def solve_kernels(segment_id: int, net: NetworkParams, M: int = 128) -> KernelTa
     )
 
 
-def _interior(segment_id: int, M: int):
-    """Row and column indices of the nodes strictly inside the triangle."""
-    j, k = np.triu_indices(M - 1, 1) if segment_id == 1 else np.tril_indices(M - 1, -1)
-    return j + 1, k + 1
-
-
-def _central(K: np.ndarray, j, k, h: float):
-    """(dK/dx, dK/dxi) by central differences at nodes (j, k)."""
-    return (K[j + 1, k] - K[j - 1, k]) / (2 * h), (K[j, k + 1] - K[j, k - 1]) / (2 * h)
+def transport_residual(table: KernelTable, K: np.ndarray, a: float, b: float, source=None) -> float:
+    """max |a K_x - b K_xi + source| over the nodes strictly inside the table's
+    triangle: the inner nodes K[1:-1, 1:-1] whose four neighbours lie in the
+    closed triangle. The derivatives are central differences on slices of
+    the table; source, if given, is an array over the inner nodes."""
+    r = np.subtract(K[2:, 1:-1], K[:-2, 1:-1])
+    r /= 2 * table.h
+    r *= a
+    d = np.subtract(K[1:-1, 2:], K[1:-1, :-2])
+    d /= 2 * table.h
+    d *= b
+    r -= d
+    if source is not None:
+        r += source
+    t = table.triangle
+    inside = t[2:, 1:-1] & t[:-2, 1:-1] & t[1:-1, 2:] & t[1:-1, :-2]
+    return float(np.max(np.abs(r, out=r), where=inside, initial=0.0))
 
 
 def kernel_residual(table: KernelTable, net: NetworkParams) -> tuple[float, float]:
@@ -102,15 +112,11 @@ def kernel_residual(table: KernelTable, net: NetworkParams) -> tuple[float, floa
         raise DomainError("M too small for central differencing")
     params, ss, sign = _segment(table.segment_id, net)
     rows = boundary_rows(net)
-    M, h = table.M, table.h
-    Kvw, Kvv = table.Kvw, table.Kvv
+    M, Kvw, Kvv = table.M, table.Kvw, table.Kvv
     lam_w, lam_v = ss.lambda_w, ss.lambda_v
-    j, k = _interior(table.segment_id, M)
-    dKdx_vw, dKdxi_vw = _central(Kvw, j, k, h)
-    r1 = lam_v * dKdx_vw - lam_w * dKdxi_vw + (Kvw[j, k] + Kvv[j, k]) / params.tau
-    dKdx_vv, dKdxi_vv = _central(Kvv, j, k, h)
-    r2 = dKdx_vv + dKdxi_vv
-    pde = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+    coupling = (Kvw[1:-1, 1:-1] + Kvv[1:-1, 1:-1]) / params.tau
+    pde = max(transport_residual(table, Kvw, lam_v, lam_w, coupling),
+              transport_residual(table, Kvv, 1.0, -1.0))  # K^vv_x + K^vv_xi
     diag = sign / (params.tau * (lam_w + lam_v))
     bc = float(np.max(np.abs(np.diagonal(Kvw) - diag)))
     r = rows.r1 if table.segment_id == 1 else rows.r2
@@ -123,14 +129,8 @@ def kernel_residual(table: KernelTable, net: NetworkParams) -> tuple[float, floa
 def save_table(table: KernelTable, path: str):
     """CSV export for inspection: header lines "segment_id,M", its values and
     "x,xi,Kvw,Kvv", then one row per node of the triangle."""
+    j, k = np.nonzero(table.triangle)  # row by row, as the dense tables
     with open(path, "w") as f:
-        f.write("segment_id,M\n")
-        f.write(f"{table.segment_id},{table.M}\n")
-        f.write("x,xi,Kvw,Kvv\n")
-        for j in range(table.M + 1):
-            ks = range(j, table.M + 1) if table.segment_id == 1 else range(j + 1)
-            for k in ks:
-                f.write(
-                    f"{table.x[j]:.17e},{table.x[k]:.17e},"
-                    f"{table.Kvw[j, k]:.17e},{table.Kvv[j, k]:.17e}\n"
-                )
+        f.write(f"segment_id,M\n{table.segment_id},{table.M}\nx,xi,Kvw,Kvv\n")
+        for row in zip(table.x[j], table.x[k], table.Kvw[j, k], table.Kvv[j, k]):
+            f.write("%.17e,%.17e,%.17e,%.17e\n" % row)

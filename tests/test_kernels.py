@@ -272,18 +272,73 @@ def _kernel_residual_by_rows(table, net):
     return pde, bc
 
 
+def _scaled_pde_residual_by_nodes(table, net):
+    """The per-node loop that criterion 3's scaled residual vectorizes, kept
+    as its reference."""
+    ss, seg = (net.ss1, net.seg1) if table.segment_id == 1 else (net.ss2, net.seg2)
+    Kvw = table.Kvw * scale_factor(-table.x, ss, seg)
+    c = coupling_coefficient(table.x, ss, seg)
+    h, worst = table.h, 0.0
+    for j in range(1, table.M):
+        for k in range(1, table.M):
+            if (k <= j) if table.segment_id == 1 else (k >= j):
+                continue
+            dKdx = (Kvw[j + 1, k] - Kvw[j - 1, k]) / (2 * h)
+            dKdxi = (Kvw[j, k + 1] - Kvw[j, k - 1]) / (2 * h)
+            r = ss.lambda_v * dKdx - ss.lambda_w * dKdxi - c[k] * table.Kvv[j, k]
+            worst = max(worst, abs(float(r)))
+    return worst
+
+
+def _bumped(tb):
+    """A copy of a table with a smooth perturbation that every term of the
+    residuals sees: on the closed form both residuals are round-off."""
+    bump = np.sin(np.add.outer(tb.x, 2.0 * tb.x) / 700.0) * 1e-5
+    bumped = dataclasses.replace(tb)  # the dense tables are built on first read
+    bumped.Kvw, bumped.Kvv = tb.Kvw + bump, tb.Kvv - bump.T
+    return bumped
+
+
 def test_residual_matches_row_loop(net, tables):
-    # on the closed form both residuals are round-off, so also feed a table
-    # with a smooth perturbation that every term of the residual sees
     for M in (32, 64):
         for tb in tables(M):
-            assert kernel_residual(tb, net) == _kernel_residual_by_rows(tb, net)
-            bump = np.sin(np.add.outer(tb.x, 2.0 * tb.x) / 700.0) * 1e-5
-            # a copy with the dense tables set: they are built on first read
-            bumped = dataclasses.replace(tb)
-            bumped.Kvw, bumped.Kvv = tb.Kvw + bump, tb.Kvv - bump.T
-            tb = bumped
-            assert kernel_residual(tb, net) == _kernel_residual_by_rows(tb, net)
+            for t in (tb, _bumped(tb)):
+                assert kernel_residual(t, net) == _kernel_residual_by_rows(t, net)
+                assert _scaled_pde_residual(t, net) == _scaled_pde_residual_by_nodes(t, net)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    u=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+    reverse=st.booleans(),
+    M=st.sampled_from([16, 33, 128]),
+)
+def test_residual_matches_row_loop_on_admissible_networks(u, reverse, M):
+    # the sliced stencil and the interior mask against the loops, bit for
+    # bit, over criterion 2's ranges and an odd M
+    n = _criterion_2_network(u, reverse)
+    assume(n is not None)
+    for sid in (1, 2):
+        for t in (solve_kernels(sid, n, M=M), _bumped(solve_kernels(sid, n, M=M))):
+            assert kernel_residual(t, n) == _kernel_residual_by_rows(t, n)
+            assert _scaled_pde_residual(t, n) == _scaled_pde_residual_by_nodes(t, n)
+
+
+def test_residual_allocates_three_inner_buffers(net):
+    # the stencil works in place on the (M-1)^2 inner nodes: at most three
+    # float buffers of them (1.56 MB at M = 256) and the masks, below four
+    M = 256
+    pair = [solve_kernels(sid, net, M=M) for sid in (1, 2)]
+    for tb in pair:
+        tb.Kvw, tb.Kvv  # built before tracing: the tables are not the check's
+    tracemalloc.start()
+    try:
+        for tb in pair:
+            kernel_residual(tb, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * (M - 1) ** 2
 
 
 def test_dense_tables_are_built_on_first_read(net):
@@ -318,3 +373,30 @@ def test_save_table_writes_the_triangle(net, tables, tmp_path):
         # %.17e round-trips a double exactly
         assert np.array_equal(rows[:, 2], tb.Kvw[j, k])
         assert np.array_equal(rows[:, 3], tb.Kvv[j, k])
+
+
+def _save_table_by_rows(table, path):
+    """The per-row writer that save_table vectorizes, kept as its reference."""
+    with open(path, "w") as f:
+        f.write("segment_id,M\n")
+        f.write(f"{table.segment_id},{table.M}\n")
+        f.write("x,xi,Kvw,Kvv\n")
+        for j in range(table.M + 1):
+            ks = range(j, table.M + 1) if table.segment_id == 1 else range(j + 1)
+            for k in ks:
+                f.write(
+                    f"{table.x[j]:.17e},{table.x[k]:.17e},"
+                    f"{table.Kvw[j, k]:.17e},{table.Kvv[j, k]:.17e}\n"
+                )
+
+
+def test_save_table_matches_row_writer(net, tmp_path):
+    # the triangle's node order and every value's bytes, also on tables
+    # whose values differ from node to node
+    for sid in (1, 2):
+        tb = solve_kernels(sid, net, M=33)
+        for name, t in (("closed", tb), ("bumped", _bumped(tb))):
+            got, want = tmp_path / f"{name}{sid}.csv", tmp_path / f"{name}{sid}-rows.csv"
+            save_table(t, got)
+            _save_table_by_rows(t, want)
+            assert got.read_bytes() == want.read_bytes()
